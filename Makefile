@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke ci
+.PHONY: build test race vet fmt-check lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke ci
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate over the root module's Go files. perfbench/ is a module of
+# its own (the repo benchmark) and is left out, with its build directory.
+fmt-check:
+	@files=$$(gofmt -l $$(find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*')); \
+	if [ -n "$$files" ]; then echo "gofmt -l flags:"; echo "$$files"; exit 1; fi
 
 # Baseline-gated: only findings absent from the committed (empty) baseline
 # fail, so the gate is a ratchet — accepted debt is written down, anything
@@ -108,4 +114,4 @@ property:
 soak-smoke:
 	$(GO) test -race -run 'TestSoak' -count=1 ./internal/rs2hpm/loadtest/
 
-ci: build vet test race lint lint-fixtures spec-validate fleet-smoke replay-smoke soak-smoke bench-gate
+ci: build vet fmt-check test race lint lint-fixtures spec-validate fleet-smoke replay-smoke soak-smoke bench-gate

@@ -246,9 +246,9 @@ type Tolerance struct {
 
 // RatioGate is one within-run quotient bound.
 type RatioGate struct {
-	Name        string  `json:"name"`
-	Numerator   string  `json:"numerator"`
-	Denominator string  `json:"denominator"`
+	Name        string `json:"name"`
+	Numerator   string `json:"numerator"`
+	Denominator string `json:"denominator"`
 	// Max is the allowed numerator/denominator ns_per_op quotient.
 	Max float64 `json:"max"`
 }

@@ -12,6 +12,8 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/isa"
 	"repro/internal/power2"
+	"repro/internal/profile"
+	"repro/internal/rng"
 	"repro/internal/units"
 )
 
@@ -140,6 +142,28 @@ func (n *Node) Counters() hpm.Counts64 {
 	return n.acc.Totals()
 }
 
+// SampleInto is the cron sweep's per-node read: it samples the registers
+// into the extended totals, adds their advance since *prev to *d, and
+// moves *prev up to them — hpm.Sub64(*prev, n.Counters()) folded into *d
+// without copying a counter table. It panics, as Sub64 does, if the
+// totals ran backwards since *prev: after a counter reset the caller must
+// re-baseline with Counters instead.
+func (n *Node) SampleInto(prev *hpm.Counts64, d *hpm.Delta) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.acc.Sample()
+	n.acc.AdvanceInto(prev, d)
+}
+
+// ApplyProfile advances the extended counters by seconds of the profile
+// under the node lock (profile.Apply on the node's accumulator). It is
+// the campaign's extrapolation step, once per job node per tick.
+func (n *Node) ApplyProfile(p *profile.Profile, seconds float64, rnd *rng.Source) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p.Apply(n.acc, seconds, rnd)
+}
+
 // WithMonitor runs fn with exclusive access to the node's hardware
 // monitor, folding any new counts into the extended totals afterwards.
 func (n *Node) WithMonitor(fn func(m *hpm.Monitor)) {
@@ -150,8 +174,8 @@ func (n *Node) WithMonitor(fn func(m *hpm.Monitor)) {
 }
 
 // WithAccumulator runs fn with exclusive access to the extended counter
-// accumulator. The campaign layer uses it to advance counters by profile
-// extrapolation.
+// accumulator, for callers that drive it directly; the campaign's profile
+// extrapolation uses ApplyProfile.
 func (n *Node) WithAccumulator(fn func(a *hpm.Accumulator)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -23,7 +23,7 @@ func FuzzReplayDecode(f *testing.F) {
 
 	f.Add([]byte(header + "\n" + record + "\n"))
 	f.Add([]byte(header + "\n" + faulted + "\n"))
-	f.Add([]byte(header + "\n")) // header only: incomplete
+	f.Add([]byte(header + "\n"))                                 // header only: incomplete
 	f.Add([]byte(header + "\n" + record + "\n" + record + "\n")) // duplicate
 	f.Add([]byte(`{"format":"hpm-campaign-trace","version":99,"novel":true}` + "\n"))
 	f.Add([]byte(`{"format":"something-else","version":1}` + "\n"))

@@ -1,0 +1,70 @@
+package trace
+
+import (
+	"compress/gzip"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+)
+
+// fileWriter is the writer every file write goes through; tests replace
+// it with one that fails partway to prove no error is dropped.
+var fileWriter = func(f *os.File) io.Writer { return f }
+
+// writeFile writes path through encode, gzip-compressed when path ends in
+// ".gz". Every error on the way out is checked — the encode, the final
+// gzip flush, the fsync of an atomic write, and the close — so a write
+// that never fully reached the file (ENOSPC on the last flush) cannot
+// report success. An atomic write goes to a temporary file beside path,
+// renamed over it only once everything succeeded; on any failure the
+// temporary file is removed and the previous file at path is untouched.
+func writeFile(path string, atomic bool, encode func(io.Writer) error) error {
+	var f *os.File
+	var err error
+	if atomic {
+		dir, base := filepath.Split(path)
+		f, err = os.CreateTemp(dir, base+".tmp*")
+	} else {
+		f, err = os.Create(path)
+	}
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	err = encodeTo(fileWriter(f), strings.HasSuffix(path, ".gz"), encode)
+	if err == nil && atomic {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("trace: %w", err)
+		}
+	}
+	if cerr := f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("trace: %w", cerr)
+	}
+	if err == nil && atomic {
+		if err = os.Rename(f.Name(), path); err != nil {
+			err = fmt.Errorf("trace: %w", err)
+		}
+	}
+	if err != nil && atomic {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// encodeTo runs encode against w, through a gzip stream when gzipped,
+// and reports the gzip flush's error as well as the encoder's.
+func encodeTo(w io.Writer, gzipped bool, encode func(io.Writer) error) error {
+	if !gzipped {
+		return encode(w)
+	}
+	gz := gzip.NewWriter(w)
+	if err := encode(gz); err != nil {
+		gz.Close()
+		return err
+	}
+	if err := gz.Close(); err != nil {
+		return fmt.Errorf("trace: gzip: %w", err)
+	}
+	return nil
+}

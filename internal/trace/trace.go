@@ -54,18 +54,7 @@ func Read(r io.Reader) (workload.Result, error) {
 // WriteFile writes the result to path; a ".gz" suffix enables gzip
 // compression (the counter arrays compress extremely well).
 func WriteFile(path string, res workload.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	var w io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		defer gz.Close()
-		w = gz
-	}
-	return Write(w, res)
+	return writeFile(path, false, func(w io.Writer) error { return Write(w, res) })
 }
 
 // ReadFile loads a result from path, transparently handling ".gz".

@@ -6,8 +6,8 @@ package workload
 // Both are embarrassingly parallel — dedicated node allocation means no
 // two jobs share a node, and every job rounds fractional counts with its
 // own splitmix-derived stream — so the worker-pool engine shards them
-// across goroutines and merges in canonical order, producing bit-identical
-// results for any worker count.
+// across goroutines and sums per-shard partial deltas, producing
+// bit-identical results for any worker count.
 
 import (
 	"fmt"
@@ -41,9 +41,7 @@ func (r *jobRun) advanceTo(t simclock.Time) {
 		return
 	}
 	for _, nd := range r.job.Nodes() {
-		nd.WithAccumulator(func(a *hpm.Accumulator) {
-			r.prof.Apply(a, dt, r.rnd)
-		})
+		nd.ApplyProfile(&r.prof, dt, r.rnd)
 	}
 	r.applied = t
 }
@@ -56,8 +54,8 @@ type Engine interface {
 	// AdvanceRuns extrapolates each run's counters to instant t.
 	AdvanceRuns(runs []*jobRun, t simclock.Time)
 	// SampleNodes reads each node's extended counters, differences them
-	// against prev (updated in place), and returns the cluster-wide delta
-	// folded in node order. fates, when non-nil, carries each node's
+	// against prev (updated in place), and returns the cluster-wide delta,
+	// the sum over nodes. fates, when non-nil, carries each node's
 	// sampling fate for the tick (fault injection); a nil fates samples
 	// every node, exactly the pre-fault behaviour.
 	SampleNodes(nodes []*node.Node, prev []hpm.Counts64, fates []faults.Fate) hpm.Delta
@@ -77,6 +75,9 @@ func NewEngine(workers int) Engine {
 // serialEngine is the single-threaded reference implementation.
 type serialEngine struct{}
 
+// AdvanceRuns is the serial extrapolation step.
+//
+//hpmlint:hotpath runs once per campaign tick; TestSerialTickAllocFree guards the same path
 func (serialEngine) AdvanceRuns(runs []*jobRun, t simclock.Time) {
 	w := telemetry.StartWatch()
 	for _, r := range runs {
@@ -86,11 +87,14 @@ func (serialEngine) AdvanceRuns(runs []*jobRun, t simclock.Time) {
 	telAdvanced.Add(uint64(len(runs)))
 }
 
+// SampleNodes is the serial cron sweep.
+//
+//hpmlint:hotpath runs once per campaign tick; TestSerialTickAllocFree guards the same path
 func (serialEngine) SampleNodes(nodes []*node.Node, prev []hpm.Counts64, fates []faults.Fate) hpm.Delta {
 	w := telemetry.StartWatch()
 	var total hpm.Delta
 	for i, nd := range nodes {
-		total.Add(sampleNode(nd, prev, fates, i))
+		sampleNode(nd, prev, fates, i, &total)
 	}
 	w.Record(telSampleNs)
 	telSampled.Add(uint64(len(nodes)))
@@ -99,55 +103,59 @@ func (serialEngine) SampleNodes(nodes []*node.Node, prev []hpm.Counts64, fates [
 
 func (serialEngine) Close() {}
 
-// sampleNode executes one node's sampling fate. A captured read
-// differences against the previous capture; a down or dropped sample
-// leaves prev untouched so the counts carry to the next successful read;
-// a rebase re-baselines after a counter reset without producing a delta
-// (the daemon cannot know how much of the post-reset count is new); a
-// duplicated read reads the node twice — the overlapping cron case — and
-// by construction the second read contributes nothing, the invariant the
-// duplicate-injection tests pin.
-func sampleNode(nd *node.Node, prev []hpm.Counts64, fates []faults.Fate, i int) hpm.Delta {
+// sampleNode executes one node's sampling fate, adding whatever the read
+// observes to *d. A captured read differences against the previous
+// capture; a down or dropped sample leaves prev untouched so the counts
+// carry to the next successful read; a rebase re-baselines after a
+// counter reset without producing a delta (the daemon cannot know how
+// much of the post-reset count is new); a duplicated read reads the node
+// twice — the overlapping cron case — and by construction the second read
+// contributes nothing, the invariant the duplicate-injection tests pin.
+func sampleNode(nd *node.Node, prev []hpm.Counts64, fates []faults.Fate, i int, d *hpm.Delta) {
 	f := faults.FateCaptured
 	if fates != nil {
 		f = fates[i]
 	}
 	switch f {
 	case faults.FateDown, faults.FateDropped:
-		return hpm.Delta{}
+		// Nothing read; the counts carry to the next capture.
 	case faults.FateRebase:
 		prev[i] = nd.Counters()
-		return hpm.Delta{}
 	case faults.FateDuplicated:
-		cur := nd.Counters()
-		d := hpm.Sub64(prev[i], cur)
-		again := nd.Counters() // the second, overlapping read
-		d.Add(hpm.Sub64(cur, again))
-		prev[i] = again
-		return d
+		nd.SampleInto(&prev[i], d)
+		nd.SampleInto(&prev[i], d) // the second, overlapping read
 	default:
-		cur := nd.Counters()
-		d := hpm.Sub64(prev[i], cur)
-		prev[i] = cur
-		return d
+		nd.SampleInto(&prev[i], d)
 	}
 }
 
-// poolEngine shards advancement across a fixed pool of worker goroutines.
-// Work is striped: shard s of k handles indices s, s+k, s+2k, ... — a
-// deterministic assignment, though correctness never depends on it: jobs
-// touch disjoint node sets and draw from disjoint RNG streams, and node
-// sampling writes disjoint slots of a scratch slice that is folded in
-// index order afterwards (the canonical-order merge).
+// poolEngine shards advancement across the calling goroutine plus a
+// fixed pool of workers−1 goroutines. Work is striped: shard s of k
+// handles indices s, s+k, s+2k, ... — a deterministic assignment, though
+// correctness never depends on it: jobs touch disjoint node sets and draw
+// from disjoint RNG streams, and node sampling writes disjoint prev slots
+// and folds its nodes' deltas into one partial sum per shard. The
+// partials are added after the barrier; the counts are uint64, whose
+// sums are the same in any order, so the tick delta is bit-identical to
+// the serial engine's node-order fold.
 type poolEngine struct {
 	workers int
-	tasks   chan func()
+	tasks   chan int // shard indexes for the pool goroutines
 	alive   sync.WaitGroup
 
-	// scratch holds per-node deltas between the parallel sample and the
-	// ordered fold; workers write disjoint indices and the fold happens
-	// after the barrier, so it needs no lock.
-	scratch []hpm.Delta
+	// The current sharded call: body and shards are set by runSharded
+	// before it hands out shard indexes and cleared after the barrier, so
+	// the channel sends and done.Wait order every access.
+	body   func(shard, shards int)
+	shards int
+	done   sync.WaitGroup
+
+	// busy[w] is worker w's busy time; worker 0 is the calling goroutine.
+	busy []*telemetry.Counter
+
+	// partial holds one delta per shard between the parallel sample and
+	// the fold; each shard writes only its own slot.
+	partial []hpm.Delta
 
 	mu       sync.Mutex
 	advanced uint64 // guarded by mu; job-advancement tasks executed
@@ -155,49 +163,56 @@ type poolEngine struct {
 }
 
 func newPoolEngine(workers int) *poolEngine {
-	e := &poolEngine{workers: workers, tasks: make(chan func())}
-	for w := 0; w < workers; w++ {
-		e.alive.Add(1)
+	e := &poolEngine{
+		workers: workers,
+		tasks:   make(chan int),
+		busy:    make([]*telemetry.Counter, workers),
+		partial: make([]hpm.Delta, workers),
+	}
+	for w := range e.busy {
 		// Per-worker busy-time accumulators share names across engines of
 		// the same width, so totals aggregate across campaigns in one
 		// process — the per-worker view of pool utilisation.
-		busy := telEngine.Counter(fmt.Sprintf("worker%d.busy_ns", w))
-		go func() {
+		e.busy[w] = telEngine.Counter(fmt.Sprintf("worker%d.busy_ns", w))
+	}
+	for w := 1; w < workers; w++ {
+		e.alive.Add(1)
+		go func(busy *telemetry.Counter) {
 			defer e.alive.Done()
-			for fn := range e.tasks {
-				sw := telemetry.StartWatch()
-				fn()
-				sw.AddTo(busy)
+			for s := range e.tasks {
+				e.runShard(s, busy)
+				e.done.Done()
 			}
-		}()
+		}(e.busy[w])
 	}
 	return e
 }
 
-// runSharded executes body(shard, shards) on the pool for each shard and
-// waits for all of them — the per-call barrier that keeps the simulation
-// goroutine's view sequentially consistent.
-func (e *poolEngine) runSharded(n int, body func(shard, shards int)) {
-	shards := e.workers
-	if n < shards {
-		shards = n
+// runShard runs one shard of the current call, charging its time to busy.
+func (e *poolEngine) runShard(s int, busy *telemetry.Counter) {
+	sw := telemetry.StartWatch()
+	e.body(s, e.shards)
+	sw.AddTo(busy)
+}
+
+// runSharded executes body(shard, shards) for each of min(workers, n)
+// shards, waits for all of them — the per-call barrier that keeps the
+// simulation goroutine's view sequentially consistent — and returns the
+// shard count. Shard 0 runs on the calling goroutine, which would
+// otherwise sit idle at the barrier.
+func (e *poolEngine) runSharded(n int, body func(shard, shards int)) int {
+	if n == 0 {
+		return 0
 	}
-	if shards <= 1 {
-		if n > 0 {
-			body(0, 1)
-		}
-		return
+	e.body, e.shards = body, min(e.workers, n)
+	e.done.Add(e.shards - 1)
+	for s := 1; s < e.shards; s++ {
+		e.tasks <- s
 	}
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		s := s
-		e.tasks <- func() {
-			defer wg.Done()
-			body(s, shards)
-		}
-	}
-	wg.Wait()
+	e.runShard(0, e.busy[0])
+	e.done.Wait()
+	e.body = nil
+	return e.shards
 }
 
 func (e *poolEngine) AdvanceRuns(runs []*jobRun, t simclock.Time) {
@@ -224,27 +239,21 @@ func (e *poolEngine) SampleNodes(nodes []*node.Node, prev []hpm.Counts64, fates 
 		w.Record(telSampleNs)
 		telSampled.Add(uint64(len(nodes)))
 	}()
-	if cap(e.scratch) < len(nodes) {
-		e.scratch = make([]hpm.Delta, len(nodes))
-	}
-	deltas := e.scratch[:len(nodes)]
-	e.runSharded(len(nodes), func(shard, shards int) {
+	shards := e.runSharded(len(nodes), func(shard, shards int) {
+		var d hpm.Delta
 		var n uint64
 		for i := shard; i < len(nodes); i += shards {
-			deltas[i] = sampleNode(nodes[i], prev, fates, i)
+			sampleNode(nodes[i], prev, fates, i, &d)
 			n++
 		}
+		e.partial[shard] = d
 		e.mu.Lock()
 		e.sampled += n
 		e.mu.Unlock()
 	})
-	// Canonical-order merge: fold per-node deltas in cluster order. The
-	// counts are integers, so any order would give the same bits — the
-	// fixed order is belt-and-braces and keeps the serial engine the
-	// executable specification.
 	var total hpm.Delta
-	for i := range deltas {
-		total.Add(deltas[i])
+	for _, d := range e.partial[:shards] {
+		total.Add(d)
 	}
 	return total
 }

@@ -80,6 +80,35 @@ func TestFaultedCampaignDeterminism(t *testing.T) {
 	}
 }
 
+// faultedOracleHash is resultHash of the faultedOracle recipe below,
+// captured before the tick path was rewritten for speed. The golden
+// campaign runs fault-free, so it never reaches the duplicated and rebase
+// fates; this recipe does (782 duplicates, 25 rebases), which makes it
+// the second committed oracle for the sampling engine.
+const faultedOracleHash uint64 = 0x886c37816d5fd4f0
+
+// faultedOracle runs the pinned faulted recipe: the default fault mix at
+// seed 11 over a 20-day default campaign.
+func faultedOracle(t *testing.T, workers int) Result {
+	cfg := faultedCfg(11, 20, workers, faults.Default())
+	return NewCampaign(cfg, DefaultMix(std(t))).Run()
+}
+
+func TestFaultedOracleHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("faulted oracle is a full 20-day simulation")
+	}
+	for _, workers := range []int{1, 4} {
+		res := faultedOracle(t, workers)
+		if cov := res.Coverage.Total; cov.Duplicates != 782 || cov.Rebased != 25 {
+			t.Fatalf("workers=%d: oracle coverage %d duplicates, %d rebases; want 782 and 25", workers, cov.Duplicates, cov.Rebased)
+		}
+		if h := resultHash(t, res); h != faultedOracleHash {
+			t.Fatalf("workers=%d faulted oracle hash %#x, want %#x — the sampling path changed observable behaviour", workers, h, faultedOracleHash)
+		}
+	}
+}
+
 // TestPropertyCampaignCoverageLedger runs several seeds of an aggressive
 // fault mix and checks the ledger invariants end to end: every day
 // balances, days cross-foot to the total, coverage plus loss counts sum
