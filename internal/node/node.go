@@ -155,13 +155,14 @@ func (n *Node) SampleInto(prev *hpm.Counts64, d *hpm.Delta) {
 	n.acc.AdvanceInto(prev, d)
 }
 
-// ApplyProfile advances the extended counters by seconds of the profile
-// under the node lock (profile.Apply on the node's accumulator). It is
-// the campaign's extrapolation step, once per job node per tick.
-func (n *Node) ApplyProfile(p *profile.Profile, seconds float64, rnd *rng.Source) {
+// ApplyStep advances the extended counters by one resolved profile
+// interval under the node lock (profile.Step.ApplyTo on the node's
+// accumulator). It is the campaign's extrapolation step, once per job
+// node per tick; the job resolves the step once for all its nodes.
+func (n *Node) ApplyStep(s *profile.Step, rnd *rng.Source) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p.Apply(n.acc, seconds, rnd)
+	s.ApplyTo(n.acc, rnd)
 }
 
 // WithMonitor runs fn with exclusive access to the node's hardware
@@ -175,7 +176,7 @@ func (n *Node) WithMonitor(fn func(m *hpm.Monitor)) {
 
 // WithAccumulator runs fn with exclusive access to the extended counter
 // accumulator, for callers that drive it directly; the campaign's profile
-// extrapolation uses ApplyProfile.
+// extrapolation uses ApplyStep.
 func (n *Node) WithAccumulator(fn func(a *hpm.Accumulator)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

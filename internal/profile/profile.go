@@ -12,6 +12,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -115,29 +116,95 @@ func (p Profile) WithDMA(readsPerSec, writesPerSec float64) Profile {
 // events (I-cache misses, DMA on short phases) keep the right expectation;
 // a nil rnd truncates.
 //
-// Every counter, zero rate or not, consumes exactly one rnd.Float64 draw,
-// in mode-then-event order, so a job's stream position depends only on
-// how many intervals it has been applied over. The round-up is added as
-// 0 or 1 rather than branched on, and a zero count is added like any
-// other (AddDirect of zero changes nothing).
-//
-// The receiver is a pointer purely to avoid copying the ~370-byte rate
-// table once per job per tick on the campaign's hot path; Apply never
-// mutates the profile.
+// Apply is StepFor followed by one ApplyTo; the campaign calls the two
+// halves itself to share one Step across a job's nodes.
 func (p *Profile) Apply(acc *hpm.Accumulator, seconds float64, rnd *rng.Source) {
+	var s Step
+	p.StepFor(seconds, &s)
+	s.ApplyTo(acc, rnd)
+}
+
+// numCounters is the number of per-mode, per-event rates in a profile.
+const numCounters = 2 * int(hpm.NumEvents)
+
+// Step is one interval of a profile, resolved once for every node it is
+// applied to: a job's nodes share the profile and the interval length,
+// so rate·seconds, its whole part and its fraction are the same for all
+// of them, and only the rounding draws differ.
+type Step struct {
+	n    int                      // live[:n] are the counters that can move
+	live [numCounters]stepCounter // in mode-then-event order
+}
+
+// stepCounter is one counter's advance over a step: whole, plus one when
+// the counter's draw falls below the round-up threshold.
+type stepCounter struct {
+	whole  uint64 // uint64(rate·seconds)
+	thresh uint64 // roundUpThreshold of the fractional part
+	mode   hpm.Mode
+	ev     hpm.Event
+	draw   uint8 // index of the counter's draw: mode·NumEvents + ev
+}
+
+// StepFor resolves seconds of the profile into s. A counter whose whole
+// part and round-up threshold are both zero can never move, so it is
+// left out; in the paper's job classes that is 24 to 34 of the 44.
+// StepFor never mutates the profile; the pointer receiver saves copying
+// the ~370-byte rate table once per job per tick.
+func (p *Profile) StepFor(seconds float64, s *Step) {
 	if seconds < 0 {
 		panic(fmt.Sprintf("profile: negative apply duration %v", seconds))
 	}
+	s.n = 0
+	draw := uint8(0)
 	for mode := hpm.Mode(0); mode < 2; mode++ {
 		for ev := hpm.Event(0); ev < hpm.NumEvents; ev++ {
 			x := p.EventsPerSec[mode][ev] * seconds
 			n := uint64(x)
-			if rnd != nil {
-				n += b2u(rnd.Float64() < x-float64(n))
+			if t := roundUpThreshold(x - float64(n)); n > 0 || t > 0 {
+				s.live[s.n] = stepCounter{whole: n, thresh: t, mode: mode, ev: ev, draw: draw}
+				s.n++
 			}
-			acc.AddDirect(mode, ev, n)
+			draw++
 		}
 	}
+}
+
+// ApplyTo advances acc by the step. Every counter, live or not, consumes
+// exactly one rnd draw, in mode-then-event order, so a job's stream
+// position depends only on how many node-intervals it has been applied
+// over. A live counter adds its whole part plus one when its draw's top
+// 53 bits k fall below its threshold, which is rnd.Float64() < fraction
+// decided on integers. A nil rnd truncates.
+func (s *Step) ApplyTo(acc *hpm.Accumulator, rnd *rng.Source) {
+	var k [numCounters]uint64
+	if rnd != nil {
+		rnd.Fill(k[:])
+	}
+	for i := range s.live[:s.n] {
+		c := &s.live[i]
+		n := c.whole
+		if rnd != nil {
+			n += b2u(k[c.draw]>>11 < c.thresh)
+		}
+		acc.AddDirect(c.mode, c.ev, n)
+	}
+}
+
+// roundUpThreshold returns the integer T with k/2^53 < f exactly when
+// k < T, for every k in [0, 2^53): the draws rng.Float64 makes, k being
+// the top 53 bits of a Uint64. Both sides scale by 2^53 without rounding,
+// so the comparison is k < f·2^53, which for an integer k is k <
+// ceil(f·2^53). A fraction that is not positive (or NaN) never rounds up,
+// and one of at least 1 always does.
+func roundUpThreshold(f float64) uint64 {
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(f * (1 << 53)))
 }
 
 // b2u converts a comparison to 0 or 1; the compiler lowers it to a
@@ -238,7 +305,3 @@ func MeasureStandardStore(store *Store, seed uint64, workers int) Standard {
 	wg.Wait()
 	return std
 }
-
-// Idle applies nothing: an unallocated or drained node. Kept as an explicit
-// named helper so campaign code reads as prose.
-func Idle(_ *hpm.Accumulator, _ float64) {}

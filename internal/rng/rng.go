@@ -46,17 +46,37 @@ func Stream(seed, id uint64) *Source {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** step: the output for state (s0, s1, s2, s3)
+// and the state after it. Uint64 and Fill share it, so a bulk fill is the
+// Uint64 sequence by construction.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
+}
+
+// Fill sets dst to the next len(dst) outputs: the values, in order, of
+// len(dst) Uint64 calls, leaving the source where they would. The state
+// stays in locals for the whole fill instead of being reloaded and
+// stored once per draw.
+func (r *Source) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i], s0, s1, s2, s3 = step(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Fork returns a new Source deterministically derived from this one; the

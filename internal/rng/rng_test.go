@@ -15,6 +15,45 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestKnownAnswer pins the start of New(42)'s stream, as both Uint64 and
+// Fill yield it: every campaign hash depends on these exact values.
+func TestKnownAnswer(t *testing.T) {
+	want := []uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1, 0xecb8ad4703b360a1}
+	single := New(42)
+	bulk := make([]uint64, len(want))
+	New(42).Fill(bulk)
+	for i, w := range want {
+		if got := single.Uint64(); got != w {
+			t.Fatalf("Uint64 draw %d = %#x, want %#x", i, got, w)
+		}
+		if bulk[i] != w {
+			t.Fatalf("Fill[%d] = %#x, want %#x", i, bulk[i], w)
+		}
+	}
+}
+
+// TestFillMatchesUint64: a bulk fill is the Uint64 sequence, value for
+// value, and leaves the source where the calls would.
+func TestFillMatchesUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 44, 1000} {
+		for _, seed := range []uint64{0, 7, 1 << 63} {
+			bulk, single := New(seed), New(seed)
+			bulk.Uint64() // start mid-stream, not just after seeding
+			single.Uint64()
+			dst := make([]uint64, n)
+			bulk.Fill(dst)
+			for i, got := range dst {
+				if want := single.Uint64(); got != want {
+					t.Fatalf("len %d, seed %d: Fill[%d] = %#x, Uint64 gives %#x", n, seed, i, got, want)
+				}
+			}
+			if got, want := bulk.Uint64(), single.Uint64(); got != want {
+				t.Fatalf("len %d, seed %d: next output after Fill %#x, after %d Uint64 calls %#x", n, seed, got, n, want)
+			}
+		}
+	}
+}
+
 func TestSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

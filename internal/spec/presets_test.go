@@ -28,12 +28,25 @@ func resultHash(t *testing.T, r workload.Result) uint64 {
 // through the whole spec pipeline — load, validate, resolve, run.
 const goldenCampaignHash uint64 = 0x88ee6c33b8c0bd5c
 
+// presetOracleHashes pins the 1-day seed-7 campaign TestPresetsRoundTrip
+// runs for each preset, captured before the profile extrapolation was
+// split into a per-job step. Each preset leaves a different set of
+// counters at zero rate, so each is an oracle the golden campaign is
+// not: bursty with its faults, comm-heavy's kernel mix and memory-bound's
+// paging class.
+var presetOracleHashes = map[string]uint64{
+	"bursty":       0xe54a302afc5a759,
+	"comm-heavy":   0x7947900799408902,
+	"memory-bound": 0x9ea8811b5b87c5cb,
+	"paper-1996":   0xbdd920fc3d5a631c,
+}
+
 // TestPresetsRoundTrip runs every committed preset end-to-end: load,
 // validate, resolve against real measured profiles, then a 1-day
-// campaign at workers 1 and 8 — which must hash identically. This is the
-// worker-count-invariance guarantee extended to every scenario axis the
-// spec layer adds (bursty arrivals, lifecycle warps, kernel mixes,
-// embedded faults).
+// campaign at workers 1 and 8 — which must hash identically, and equal
+// the preset's pinned oracle. This is the worker-count-invariance
+// guarantee extended to every scenario axis the spec layer adds (bursty
+// arrivals, lifecycle warps, kernel mixes, embedded faults).
 func TestPresetsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preset round-trips run real campaigns")
@@ -87,6 +100,11 @@ func TestPresetsRoundTrip(t *testing.T) {
 			}
 			if hashes[0] != hashes[1] {
 				t.Errorf("preset %s: workers=1 hash %#x != workers=8 hash %#x", name, hashes[0], hashes[1])
+			}
+			if want, ok := presetOracleHashes[name]; !ok {
+				t.Errorf("preset %s has no pinned oracle hash (workers=1 gives %#x)", name, hashes[0])
+			} else if hashes[0] != want {
+				t.Errorf("preset %s: hash %#x, want oracle %#x — the campaign changed observable behaviour", name, hashes[0], want)
 			}
 		})
 	}

@@ -34,14 +34,18 @@ type jobRun struct {
 	rnd     *rng.Source
 }
 
-// advanceTo applies the job's profile to its nodes up to instant t.
+// advanceTo applies the job's profile to its nodes up to instant t. The
+// interval is resolved into a step once for the whole job; each node then
+// only draws and adds. The step is a local, so it stays on the stack.
 func (r *jobRun) advanceTo(t simclock.Time) {
 	dt := (t - r.applied).Seconds()
 	if dt <= 0 {
 		return
 	}
+	var step profile.Step
+	r.prof.StepFor(dt, &step)
 	for _, nd := range r.job.Nodes() {
-		nd.ApplyProfile(&r.prof, dt, r.rnd)
+		nd.ApplyStep(&step, r.rnd)
 	}
 	r.applied = t
 }

@@ -150,3 +150,31 @@ func TestSerialTickAllocFree(t *testing.T) {
 		t.Fatalf("serial tick allocates %.1f times per call", allocs)
 	}
 }
+
+// BenchmarkJobAdvance is the advance layer's kernel: one 16-node job
+// extrapolated over one 900 s sampling interval per op, with the paper
+// CFD profile on divide-bug monitors. workload.advance_s is this cost
+// summed over every running job and tick.
+func BenchmarkJobAdvance(b *testing.B) {
+	nodes := make([]*node.Node, 16)
+	for i := range nodes {
+		nodes[i] = node.New(node.Config{ID: i}) // hpm.New: the divide bug on
+	}
+	cfd := profile.MeasureStandard(1).CFD
+	var run *jobRun
+	srv := pbs.New(&simclock.Clock{}, nodes, pbs.Config{})
+	srv.OnStart = func(j *pbs.Job) {
+		run = &jobRun{job: j, prof: cfd, rnd: rng.New(uint64(j.ID))}
+	}
+	if _, err := srv.Submit(pbs.Spec{User: "u", Nodes: len(nodes), WallSeconds: 1e9}); err != nil {
+		b.Fatal(err)
+	}
+	if run == nil {
+		b.Fatal("the job did not start")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run.advanceTo(run.applied + 900)
+	}
+}
