@@ -93,6 +93,8 @@ replay-smoke:
 # Short fuzzing pass over every fuzz target (committed corpora plus
 # FUZZTIME of fresh exploration per target). go test allows one -fuzz
 # pattern per invocation, so each target gets its own run.
+# FuzzDatabaseDecode's seeds include whole campaign databases; the short
+# -fuzzminimizetime keeps it from spending FUZZTIME shrinking one of them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanInvariants$$' -fuzztime $(FUZZTIME) ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzEpilogueDelay$$' -fuzztime $(FUZZTIME) ./internal/faults/
@@ -101,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBaselineDecode$$' -fuzztime $(FUZZTIME) ./internal/lint/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDatabaseDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/rs2hpm/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayDecode$$' -fuzztime $(FUZZTIME) ./internal/replay/
 

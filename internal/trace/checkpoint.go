@@ -18,13 +18,11 @@ package trace
 // resume may use any shard or worker count.
 
 import (
-	"compress/gzip"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"repro/internal/workload"
 )
@@ -129,19 +127,9 @@ func WriteFleetCheckpointFile(path string, cp FleetCheckpoint) error {
 // ReadFleetCheckpointFile loads a checkpoint from path, transparently
 // handling ".gz".
 func ReadFleetCheckpointFile(path string) (FleetCheckpoint, error) {
-	f, err := os.Open(path)
+	data, err := readFile(path)
 	if err != nil {
 		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint: %w", err)
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint gzip: %w", err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	return ReadFleetCheckpoint(r)
+	return ReadFleetCheckpoint(bytes.NewReader(data))
 }

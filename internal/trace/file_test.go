@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
 	"os"
@@ -61,6 +62,9 @@ func TestWritersReportFullDevice(t *testing.T) {
 	if err := WriteProfileCacheFile(link("cache.json.gz"), store); err == nil {
 		t.Error("WriteProfileCacheFile to /dev/full reported success")
 	}
+	if err := WriteRecordsCSVFile(link("jobs.csv"), sampleResult().Records); err == nil {
+		t.Error("WriteRecordsCSVFile to /dev/full reported success")
+	}
 }
 
 // TestWritersReportFailedFlush: when only the final gzip flush fails,
@@ -77,6 +81,60 @@ func TestWritersReportFailedFlush(t *testing.T) {
 	}
 	if err := WriteFleetCheckpointFile(filepath.Join(dir, "fleet.ckpt.gz"), sampleCheckpoint()); !errors.Is(err, errFlush) {
 		t.Errorf("WriteFleetCheckpointFile: got %v, want the flush error", err)
+	}
+	if err := WriteRecordsCSVFile(filepath.Join(dir, "jobs.csv.gz"), sampleResult().Records); !errors.Is(err, errFlush) {
+		t.Errorf("WriteRecordsCSVFile: got %v, want the flush error", err)
+	}
+}
+
+// TestReadersRejectCorruptGzip: every format's file reader must read a
+// ".gz" stream through its trailer, so a flipped checksum byte or a cut
+// trailer fails the load instead of passing the payload off as intact.
+func TestReadersRejectCorruptGzip(t *testing.T) {
+	formats := []struct {
+		name  string
+		write func(path string) error
+		read  func(path string) error
+	}{
+		{"database",
+			func(p string) error { return WriteFile(p, sampleResult()) },
+			func(p string) error { _, err := ReadFile(p); return err }},
+		{"checkpoint",
+			func(p string) error { return WriteFleetCheckpointFile(p, sampleCheckpoint()) },
+			func(p string) error { _, err := ReadFleetCheckpointFile(p); return err }},
+		{"profile cache",
+			func(p string) error { return WriteProfileCacheFile(p, profile.NewStore()) },
+			func(p string) error { return LoadProfileCacheFile(p, profile.NewStore()) }},
+	}
+	// The gzip trailer is the last 8 bytes: CRC-32, then the length.
+	corruptions := []struct {
+		name    string
+		corrupt func([]byte) []byte
+		want    error
+	}{
+		{"flipped CRC byte", func(b []byte) []byte { b[len(b)-8] ^= 0xff; return b }, gzip.ErrChecksum},
+		{"cut trailer", func(b []byte) []byte { return b[:len(b)-4] }, io.ErrUnexpectedEOF},
+	}
+	for _, f := range formats {
+		path := filepath.Join(t.TempDir(), "file.gz")
+		if err := f.write(path); err != nil {
+			t.Fatalf("%s: write: %v", f.name, err)
+		}
+		if err := f.read(path); err != nil {
+			t.Fatalf("%s: intact file rejected: %v", f.name, err)
+		}
+		good, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range corruptions {
+			if err := writeRaw(path, c.corrupt(bytes.Clone(good))); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.read(path); !errors.Is(err, c.want) {
+				t.Errorf("%s, %s: got %v, want an error wrapping %v", f.name, c.name, err, c.want)
+			}
+		}
 	}
 }
 

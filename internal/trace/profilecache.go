@@ -9,12 +9,12 @@ package trace
 // take.
 
 import (
-	"compress/gzip"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"strings"
+	"io/fs"
 
 	"repro/internal/profile"
 )
@@ -62,24 +62,14 @@ func WriteProfileCacheFile(path string, s *profile.Store) error {
 // LoadProfileCacheFile loads a persisted cache into the store. A missing
 // file is not an error — the first run of a warm/cold cycle starts cold.
 func LoadProfileCacheFile(path string, s *profile.Store) error {
-	f, err := os.Open(path)
+	data, err := readFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return fmt.Errorf("trace: %w", err)
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return fmt.Errorf("trace: gzip: %w", err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	ms, err := ReadProfileCache(r)
+	ms, err := ReadProfileCache(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}

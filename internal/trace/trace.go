@@ -7,14 +7,11 @@
 package trace
 
 import (
-	"compress/gzip"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/pbs"
 	"repro/internal/workload"
@@ -38,17 +35,15 @@ func Write(w io.Writer, res workload.Result) error {
 	return nil
 }
 
-// Read deserialises a result from r.
+// Read deserialises a result from r, which must hold one envelope and
+// nothing after it but whitespace. It reads r to EOF, so a gzip reader is
+// read through its checksum.
 func Read(r io.Reader) (workload.Result, error) {
-	var env Envelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
-		return workload.Result{}, fmt.Errorf("trace: decode: %w", err)
+	data, err := readAll(r)
+	if err != nil {
+		return workload.Result{}, fmt.Errorf("trace: read: %w", err)
 	}
-	if env.Version != FormatVersion {
-		return workload.Result{}, fmt.Errorf("trace: version %d, want %d", env.Version, FormatVersion)
-	}
-	return env.Result, nil
+	return decode(data)
 }
 
 // WriteFile writes the result to path; a ".gz" suffix enables gzip
@@ -59,21 +54,11 @@ func WriteFile(path string, res workload.Result) error {
 
 // ReadFile loads a result from path, transparently handling ".gz".
 func ReadFile(path string) (workload.Result, error) {
-	f, err := os.Open(path)
+	data, err := readFile(path)
 	if err != nil {
 		return workload.Result{}, fmt.Errorf("trace: %w", err)
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return workload.Result{}, fmt.Errorf("trace: gzip: %w", err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	return Read(r)
+	return decode(data)
 }
 
 // WriteRecordsCSV exports the batch-job database as CSV — the form in
@@ -123,12 +108,8 @@ func WriteRecordsCSV(w io.Writer, recs []pbs.Record) error {
 	return nil
 }
 
-// WriteRecordsCSVFile writes the job database to a file.
+// WriteRecordsCSVFile writes the job database to path; a ".gz" suffix
+// enables gzip compression.
 func WriteRecordsCSVFile(path string, recs []pbs.Record) error {
-	fl, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer fl.Close()
-	return WriteRecordsCSV(fl, recs)
+	return writeFile(path, false, func(w io.Writer) error { return WriteRecordsCSV(w, recs) })
 }
