@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt-check lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke ci
+.PHONY: build test race vet fmt-check lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke perfbench-selftest ci
 
 build:
 	$(GO) build ./...
@@ -117,4 +117,11 @@ property:
 soak-smoke:
 	$(GO) test -race -run 'TestSoak' -count=1 ./internal/rs2hpm/loadtest/
 
-ci: build vet fmt-check test race lint lint-fixtures spec-validate fleet-smoke replay-smoke soak-smoke bench-gate
+# The repo benchmark is a module of its own (replace repro => ../), so
+# the root build and test never compile it. Its self-test does, and
+# fails if an API change in the root module broke the benchmark.
+perfbench-selftest:
+	cd perfbench && $(GO) test .
+
+# Every step of the CI workflow's main job, in its order.
+ci: build vet fmt-check test race lint lint-fixtures spec-validate bench-smoke bench-gate fleet-smoke replay-smoke soak-smoke perfbench-selftest

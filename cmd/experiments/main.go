@@ -1,10 +1,11 @@
 // Command experiments regenerates every table and figure of the paper.
 // It either loads a campaign database written by spsim -o, or runs the
-// campaign itself.
+// campaign itself with the campaign flags it shares with spsim
+// (internal/cliperf): the same defaults, checks and fleet engine.
 //
 // Usage:
 //
-//	experiments -all                       # run 270-day campaign, print everything
+//	experiments -all                       # run the 270-day campaign, print everything
 //	experiments -days 90 -table2 -fig3     # shorter campaign, selected outputs
 //	experiments -trace run.json.gz -all    # analyse a saved campaign
 //	experiments -spec bursty -fig1         # run a named workload-spec preset
@@ -18,29 +19,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/analysis"
 	"repro/internal/cliperf"
-	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/fleet"
-	"repro/internal/profile"
-	"repro/internal/replay"
-	"repro/internal/spec"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 func main() {
+	cf := cliperf.CampaignFlags(flag.CommandLine, "experiments")
 	tracePath := flag.String("trace", "", "load a saved campaign database instead of running one")
-	days := flag.Int("days", 270, "campaign length when running fresh")
-	nodes := flag.Int("nodes", 144, "cluster size when running fresh")
-	seed := flag.Uint64("seed", 1, "seed when running fresh")
-	specRef := flag.String("spec", "", "workload spec when running fresh: a committed preset name or a JSON file path")
-	listPresets := flag.Bool("list-presets", false, "list the committed workload-spec presets and exit")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker goroutines (1 = serial; results are seed-identical at any setting)")
 	all := flag.Bool("all", false, "emit every table and figure")
 	t1 := flag.Bool("table1", false, "Table 1: the 22-counter selection")
 	t2 := flag.Bool("table2", false, "Table 2: major rates over >2 Gflops days")
@@ -52,119 +41,29 @@ func main() {
 	f4 := flag.Bool("fig4", false, "Figure 4: 16-node job history")
 	f5 := flag.Bool("fig5", false, "Figure 5: performance vs system intervention")
 	whatif := flag.Bool("whatif", false, "what-if: the I/O-wait counter selection the paper recommends")
-	withFaults := flag.Bool("faults", false, "inject the default collection-fault mix when running fresh; reductions use covered time")
-	clusters := flag.Int("clusters", 0, "fleet size when running fresh: this many copies of the campaign as a multi-cluster fleet; 0 defers to the spec's fleet block (or a single cluster)")
-	shards := flag.Int("shards", 1, "fleet shards: cluster-level workers (results are identical at any setting)")
-	checkpoint := flag.String("checkpoint", "", "fleet checkpoint file (.json or .json.gz), written as clusters complete")
-	resumeRun := flag.Bool("resume", false, "resume the fleet campaign recorded in -checkpoint")
-	haltAfter := flag.Int("halt-after", 0, "stop the fleet after this many cluster completions (smoke/testing; requires -checkpoint)")
-	recordTo := flag.String("record", "", "record the fresh campaign's generated plans (and resolved fault schedules) to a trace here (always gzip)")
-	replayFrom := flag.String("replay", "", "re-simulate a recorded campaign trace instead of generating plans; the trace must match the campaign definition (exit 1 on corruption or mismatch)")
 	npb := flag.Bool("npb", false, "NPB suite signatures (extends Table 4's BT reference)")
-	profCache := flag.String("profile-cache", "", "persist kernel measurements here (.json or .json.gz) and reuse them on later runs")
-	telFmt := flag.String("telemetry", "", `append the hpmtel self-measurement snapshot after the outputs ("text" or "json")`)
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile here")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile here on exit")
 	flag.Parse()
-	if *telFmt != "" && *telFmt != "text" && *telFmt != "json" {
-		fmt.Fprintf(os.Stderr, "experiments: -telemetry must be \"text\" or \"json\", got %q\n", *telFmt)
-		os.Exit(2)
+	if err := cf.Check(); err != nil {
+		cf.Fail(2, err)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -shards must be >= 1, got %d\n", *shards)
-		os.Exit(2)
-	}
-	if *clusters < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -clusters must be >= 0, got %d\n", *clusters)
-		os.Exit(2)
-	}
-	if *haltAfter < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -halt-after must be >= 0, got %d\n", *haltAfter)
-		os.Exit(2)
-	}
-	if *resumeRun && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -resume requires -checkpoint")
-		os.Exit(2)
-	}
-	if *haltAfter > 0 && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -halt-after requires -checkpoint")
-		os.Exit(2)
-	}
-	// Record/replay drive a campaign run, so neither combines with
-	// -trace; recording additionally rejects every mode that would leave
-	// the trace incomplete (mirrors fleet.Options).
-	if (*recordTo != "" || *replayFrom != "") && *tracePath != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -record/-replay drive a campaign run and cannot be combined with -trace")
-		os.Exit(2)
-	}
-	if *recordTo != "" && *replayFrom != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -record cannot be combined with -replay (a replay would only copy the trace)")
-		os.Exit(2)
-	}
-	if *recordTo != "" && *resumeRun {
-		fmt.Fprintln(os.Stderr, "experiments: -record cannot be combined with -resume (restored clusters never regenerate, so the trace would be incomplete)")
-		os.Exit(2)
-	}
-	if *recordTo != "" && *haltAfter > 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -record cannot be combined with -halt-after (a halted run records an incomplete trace)")
-		os.Exit(2)
-	}
-	fleetFlags := *clusters > 0 || *checkpoint != "" || *resumeRun || *haltAfter > 0
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			fleetFlags = true
+	// Record/replay and the fleet flags drive a campaign run, so none
+	// combines with -trace.
+	if *tracePath != "" {
+		switch {
+		case cf.Record != "" || cf.Replay != "":
+			cf.Fail(2, errors.New("-record/-replay drive a campaign run and cannot be combined with -trace"))
+		case cf.Clusters > 0 || cf.Shards != 1 || cf.Checkpoint != "" || cf.Resume || cf.HaltAfter > 0:
+			cf.Fail(2, errors.New("fleet flags run a fresh campaign and cannot be combined with -trace"))
 		}
-	})
-	if fleetFlags && *tracePath != "" {
-		fmt.Fprintln(os.Stderr, "experiments: fleet flags run a fresh campaign and cannot be combined with -trace")
-		os.Exit(2)
 	}
-	if *listPresets {
-		for _, name := range spec.PresetNames() {
-			s, err := spec.Preset(name)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%-14s %s\n", name, s.Description)
-		}
+	if cf.ListPresets {
+		cf.PrintPresets()
 		return
 	}
-	var sp *spec.Spec
-	if *specRef != "" {
-		var err error
-		if sp, err = spec.Load(*specRef); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	// Probe the replay trace before paying for kernel measurement: a
-	// corrupt or truncated trace should fail in milliseconds. The
-	// definition-mismatch check needs the resolved config and runs later.
-	if *replayFrom != "" {
-		if _, err := replay.OpenFile(*replayFrom); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	stopCPU, err := cliperf.StartCPUProfile(*cpuProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-	defer stopCPU()
+	stop := cf.Start()
+	defer stop()
 	defer func() {
-		if err := cliperf.WriteMemProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		}
-	}()
-	if err := cliperf.LoadProfileCache(*profCache); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := cliperf.SaveProfileCache(*profCache); err != nil {
+		if err := cf.SaveProfileCache(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		}
 	}()
@@ -176,117 +75,19 @@ func main() {
 	var res workload.Result
 	if *tracePath != "" {
 		var err error
-		res, err = trace.ReadFile(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+		if res, err = trace.ReadFile(*tracePath); err != nil {
+			cf.Fail(1, err)
 		}
 		fmt.Printf("loaded %d-day campaign from %s\n\n", len(res.Days), *tracePath)
-	} else if fleetFlags || (sp != nil && sp.Fleet != nil) {
-		// Fleet path: a sharded multi-cluster campaign merged in canonical
-		// cluster order (internal/fleet); every table below reads the
-		// fleet-wide reduction.
-		ccfg := core.Config{Seed: *seed, Workers: *workers}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "days":
-				ccfg.Days = *days
-			case "nodes":
-				ccfg.Nodes = *nodes
-			}
-		})
-		var sys *core.System
-		var err error
-		if sp != nil {
-			sys, err = core.NewWithSpec(ccfg, sp)
-		} else {
-			sys = core.New(ccfg)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		members, err := sys.FleetMembers(*clusters)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		totalNodes := 0
-		for i := range members {
-			if *withFaults && members[i].Config.Faults == nil {
-				f := faults.Default()
-				members[i].Config.Faults = &f
-			}
-			totalNodes += members[i].Config.Nodes
-		}
-		fmt.Printf("running a %d-cluster fleet campaign (%d nodes total, seed %d, %d shards, %d workers each)...\n\n",
-			len(members), totalNodes, *seed, *shards, *workers)
-		res, err = fleet.Run(members, fleet.Options{
-			Shards:     *shards,
-			Checkpoint: *checkpoint,
-			Resume:     *resumeRun,
-			HaltAfter:  *haltAfter,
-			RecordTo:   *recordTo,
-			ReplayFrom: *replayFrom,
-		})
-		switch {
-		case errors.Is(err, fleet.ErrHalted):
-			fmt.Printf("fleet halted after %d cluster completion(s); %s holds the partial campaign — rerun with -resume to continue\n",
-				*haltAfter, *checkpoint)
-			return
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
 	} else {
-		label := ""
-		if sp != nil {
-			label = fmt.Sprintf(" [scenario %s]", sp.Name)
+		var ok bool
+		if res, ok = cf.Run(cf.Members()); !ok {
+			return
 		}
-		fmt.Printf("measuring kernel profiles and running a %d-day campaign on %d nodes (seed %d, %d workers)%s...\n\n",
-			*days, *nodes, *seed, *workers, label)
-		std := profile.MeasureStandardWorkers(*seed, *workers)
-		cfg := workload.DefaultConfig(*seed)
-		cfg.Days = *days
-		cfg.Nodes = *nodes
-		mix := workload.DefaultMix(std)
-		if sp != nil {
-			var err error
-			if cfg, mix, err = spec.Resolve(sp, std); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(2)
-			}
-			cfg.Seed = *seed
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "days":
-					cfg.Days = *days
-				case "nodes":
-					cfg.Nodes = *nodes
-				}
-			})
+		fmt.Println()
+		if cf.Record != "" {
+			fmt.Printf("campaign trace recorded to %s\n\n", cf.Record)
 		}
-		cfg.Workers = *workers
-		if *withFaults && cfg.Faults == nil {
-			f := faults.Default()
-			cfg.Faults = &f
-		}
-		var err error
-		switch {
-		case *recordTo != "":
-			res, err = replay.RunRecorded(*recordTo, cfg, mix)
-		case *replayFrom != "":
-			res, err = replay.RunReplayed(*replayFrom, cfg, mix)
-		default:
-			res = workload.NewCampaign(cfg, mix).Run()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *recordTo != "" {
-		fmt.Printf("campaign trace recorded to %s\n\n", *recordTo)
 	}
 
 	// Label every table and figure below with the scenario that produced
@@ -311,7 +112,7 @@ func main() {
 	emit(*t2, analysis.ComputeTable2(res).Render())
 	emit(*t3, analysis.ComputeTable3(res).Render())
 	if *all || *t4 {
-		seq := analysis.MeasureSequentialRow(*seed, 200_000)
+		seq := analysis.MeasureSequentialRow(cf.Seed, 200_000)
 		bt := analysis.MeasureBT49Row(analysis.DefaultBT49())
 		fmt.Println(analysis.ComputeTable4(res, seq, bt).Render())
 	}
@@ -321,28 +122,15 @@ func main() {
 	emit(*f4, analysis.ComputeFigure4(res).Render())
 	emit(*f5, analysis.ComputeFigure5(res).Render())
 	if *all || *whatif {
-		fmt.Println(analysis.MeasureIOWaitWhatIf(*seed).Render())
+		fmt.Println(analysis.MeasureIOWaitWhatIf(cf.Seed).Render())
 	}
 	if *all || *npb {
-		fmt.Println(analysis.MeasureNPBSuite(*seed, 400_000).Render())
+		fmt.Println(analysis.MeasureNPBSuite(cf.Seed, 400_000).Render())
 	}
 
 	// The hpmtel snapshot: whatever this process measured of itself —
 	// campaign stages, profile-store traffic — appended after the paper
 	// artifacts. Taken at exit so the table/figure recomputation above is
 	// included.
-	if *telFmt != "" {
-		fmt.Printf("\n=== telemetry (hpmtel) ===\n")
-		snap := telemetry.Default.Snapshot()
-		var err error
-		if *telFmt == "json" {
-			err = snap.WriteJSON(os.Stdout)
-		} else {
-			err = snap.WriteText(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	cf.PrintTelemetry(telemetry.Default.Snapshot())
 }

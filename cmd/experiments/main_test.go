@@ -75,6 +75,12 @@ func TestFleetFlagValidationExits2(t *testing.T) {
 		{"halt-negative", []string{"-halt-after", "-1", "-days", "1"}, "-halt-after must be >= 0"},
 		{"resume-without-checkpoint", []string{"-resume", "-days", "1"}, "-resume requires -checkpoint"},
 		{"halt-without-checkpoint", []string{"-halt-after", "1", "-days", "1"}, "-halt-after requires -checkpoint"},
+		{"days-negative", []string{"-days", "-3"}, "-days must be >= 0"},
+		{"nodes-negative", []string{"-nodes", "-1", "-days", "1"}, "-nodes must be >= 0"},
+		{"workers-negative", []string{"-workers", "-1", "-days", "1"}, "-workers must be >= 0"},
+		// A cluster smaller than the paper mix's 128-node jobs would panic
+		// mid-run the first time it drew one.
+		{"nodes-below-largest-job", []string{"-nodes", "127", "-days", "1"}, "127 nodes, but its mix can draw a 128-node job"},
 		{"fleet-with-trace", []string{"-clusters", "2", "-trace", "db.json"}, "cannot be combined with -trace"},
 		{"shards-with-trace", []string{"-shards", "2", "-trace", "db.json"}, "cannot be combined with -trace"},
 	}
@@ -112,6 +118,34 @@ func TestFleetResumeBadCheckpointExits1(t *testing.T) {
 func TestUnknownPresetExits2(t *testing.T) {
 	if _, _, code := run(t, "-spec", "no-such-preset", "-days", "1"); code != 2 {
 		t.Fatalf("unknown -spec: exit %d, want 2", code)
+	}
+}
+
+// TestBannerShowsResolvedDays runs a 1-day spec without -days: the
+// banner must report the campaign the spec defines, not a flag default.
+func TestBannerShowsResolvedDays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "one-day.json")
+	src := `{
+	  "version": 1,
+	  "name": "one-day",
+	  "campaign": {"days": 1, "nodes": 144, "mean_util": 0.5, "util_sigma": 0.1, "paging_day_prob": 0.1},
+	  "clients": [
+	    {"name": "r", "remainder": true,
+	     "profile": {"kernel": "cfd", "compute_duty": 0.8, "comm_active": 0.5,
+	                 "perf_sigma": 0.3, "memory_per_node_bytes": 1048576,
+	                 "msg_bytes_per_flop": 0.05, "disk_out_bytes_per_sec": 1000}}
+	  ]
+	}`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := run(t, "-spec", path, "-table1")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	banner, _, _ := strings.Cut(stdout, "\n")
+	if !strings.Contains(banner, "1-day") {
+		t.Fatalf("banner should report the spec's 1-day campaign: %q", banner)
 	}
 }
 

@@ -9,21 +9,26 @@
 // checks specs without running anything (exit 0 clean, 2 malformed — the
 // hpmlint exit-code convention, so CI can gate on it).
 //
-// Any fleet flag (-clusters, -shards, -checkpoint, -resume, -halt-after)
-// or a spec with a fleet block switches to the sharded multi-cluster
-// campaign engine (internal/fleet): N clusters partitioned across shards,
-// merged in canonical cluster order — results are bit-identical at every
-// shard count and across a kill/resume cycle.
+// Every campaign runs on the sharded fleet engine (internal/fleet), a
+// single campaign as a fleet of one. The fleet flags (-clusters,
+// -shards, -checkpoint, -resume, -halt-after) and a spec's fleet block
+// shape the fleet, not the engine: clusters are partitioned across
+// shards and merged in canonical cluster order, so results are
+// bit-identical at every shard count and across a kill/resume cycle.
+// -days and -nodes default to 0, which inherits the spec's campaign
+// block (270 days on 144 nodes without a spec); a cluster smaller than
+// the largest job its mix can draw exits 2.
 //
 // -record tees the generate stage into a campaign trace (internal/replay)
 // while the run proceeds normally; -replay re-simulates a recorded trace
 // instead of generating plans, reproducing the recorded run bit for bit
-// (exit 1 on a corrupt or mismatched trace). Both work on the single
-// campaign and on the fleet.
+// (exit 1 on a corrupt or mismatched trace).
+//
+// The campaign flags are shared with cmd/experiments (internal/cliperf).
 //
 // Usage:
 //
-//	spsim [-days 270] [-nodes 144] [-seed 1] [-workers N] [-v] [-faults] [-o db.json.gz]
+//	spsim [-days N] [-nodes N] [-seed 1] [-workers N] [-v] [-faults] [-o db.json.gz]
 //	      [-spec preset-or-file] [-list-presets] [-validate [spec files...]]
 //	      [-clusters N] [-shards N] [-checkpoint fleet.json.gz] [-resume] [-halt-after N]
 //	      [-record trace.gz | -replay trace.gz]
@@ -32,19 +37,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
 	"repro/internal/cliperf"
-	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/fleet"
-	"repro/internal/profile"
-	"repro/internal/replay"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -90,283 +88,59 @@ func validateSpecs(ref string, args []string) int {
 }
 
 func main() {
-	days := flag.Int("days", 270, "campaign length in days")
-	nodes := flag.Int("nodes", 144, "cluster size")
-	seed := flag.Uint64("seed", 1, "campaign random seed")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker goroutines (1 = serial; results are seed-identical at any setting)")
+	cf := cliperf.CampaignFlags(flag.CommandLine, "spsim")
 	verbose := flag.Bool("v", false, "print per-day detail")
-	specRef := flag.String("spec", "", "workload spec: a committed preset name (see -list-presets) or a JSON file path")
-	listPresets := flag.Bool("list-presets", false, "list the committed workload-spec presets and exit")
 	validate := flag.Bool("validate", false, "validate workload specs and exit 0 (clean) or 2 (malformed): the -spec reference, file arguments, or — with neither — every committed preset")
-	withFaults := flag.Bool("faults", false, "inject the default collection-fault mix (crashes, cron misses, daemon restarts) and report coverage; a spec's own faults block takes precedence")
-	clusters := flag.Int("clusters", 0, "fleet size: run this many copies of the campaign as a multi-cluster fleet; 0 defers to the spec's fleet block (or a single cluster)")
-	shards := flag.Int("shards", 1, "fleet shards: cluster-level workers, each owning its own engine pool (results are identical at any setting)")
-	checkpoint := flag.String("checkpoint", "", "fleet checkpoint file (.json or .json.gz), written as clusters complete")
-	resumeRun := flag.Bool("resume", false, "resume the fleet campaign recorded in -checkpoint")
-	haltAfter := flag.Int("halt-after", 0, "stop the fleet after this many cluster completions (smoke/testing; requires -checkpoint)")
-	recordTo := flag.String("record", "", "record the campaign's generated plans (and resolved fault schedules) to a trace here (always gzip); replaying it reproduces this run bit for bit")
-	replayFrom := flag.String("replay", "", "re-simulate a recorded campaign trace instead of generating plans; the trace must match the campaign definition (exit 1 on corruption or mismatch)")
 	out := flag.String("o", "", "write the campaign database here (.json or .json.gz) for cmd/experiments")
 	csvOut := flag.String("csv", "", "also export the batch-job database as CSV")
-	profCache := flag.String("profile-cache", "", "persist kernel measurements here (.json or .json.gz) and reuse them on later runs")
-	telFmt := flag.String("telemetry", "", `append the hpmtel self-measurement snapshot after the summary ("text" or "json")`)
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile here")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile here on exit")
 	flag.Parse()
-	if *telFmt != "" && *telFmt != "text" && *telFmt != "json" {
-		fmt.Fprintf(os.Stderr, "spsim: -telemetry must be \"text\" or \"json\", got %q\n", *telFmt)
-		os.Exit(2)
+	if err := cf.Check(); err != nil {
+		cf.Fail(2, err)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "spsim: -shards must be >= 1, got %d\n", *shards)
-		os.Exit(2)
-	}
-	if *clusters < 0 {
-		fmt.Fprintf(os.Stderr, "spsim: -clusters must be >= 0, got %d\n", *clusters)
-		os.Exit(2)
-	}
-	if *haltAfter < 0 {
-		fmt.Fprintf(os.Stderr, "spsim: -halt-after must be >= 0, got %d\n", *haltAfter)
-		os.Exit(2)
-	}
-	if *resumeRun && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "spsim: -resume requires -checkpoint")
-		os.Exit(2)
-	}
-	if *haltAfter > 0 && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "spsim: -halt-after requires -checkpoint")
-		os.Exit(2)
-	}
-	// A useful trace is a complete trace: recording rejects every mode
-	// that would leave some day ungenerated (mirrors fleet.Options).
-	if *recordTo != "" && *replayFrom != "" {
-		fmt.Fprintln(os.Stderr, "spsim: -record cannot be combined with -replay (a replay would only copy the trace)")
-		os.Exit(2)
-	}
-	if *recordTo != "" && *resumeRun {
-		fmt.Fprintln(os.Stderr, "spsim: -record cannot be combined with -resume (restored clusters never regenerate, so the trace would be incomplete)")
-		os.Exit(2)
-	}
-	if *recordTo != "" && *haltAfter > 0 {
-		fmt.Fprintln(os.Stderr, "spsim: -record cannot be combined with -halt-after (a halted run records an incomplete trace)")
-		os.Exit(2)
-	}
-	// Any explicit fleet flag selects the fleet engine; so does a spec
-	// fleet block (checked after the spec loads). A fleet of one in one
-	// shard reduces to the classic campaign bit-for-bit, so the switch
-	// never changes results — only the machinery.
-	fleetFlags := *clusters > 0 || *checkpoint != "" || *resumeRun || *haltAfter > 0
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			fleetFlags = true
-		}
-	})
-
-	if *listPresets {
-		for _, name := range spec.PresetNames() {
-			s, err := spec.Preset(name)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%-14s %s\n", name, s.Description)
-		}
+	if cf.ListPresets {
+		cf.PrintPresets()
 		return
 	}
 	if *validate {
-		os.Exit(validateSpecs(*specRef, flag.Args()))
+		os.Exit(validateSpecs(cf.Spec, flag.Args()))
 	}
-	// Load (and validate) the spec before paying for kernel measurement:
-	// a typo should fail in milliseconds.
-	var sp *spec.Spec
-	if *specRef != "" {
-		var err error
-		if sp, err = spec.Load(*specRef); err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	// Probe the replay trace before paying for kernel measurement: a
-	// corrupt or truncated trace should fail in milliseconds. The
-	// definition-mismatch check needs the resolved config and runs later.
-	if *replayFrom != "" {
-		if _, err := replay.OpenFile(*replayFrom); err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	stopCPU, err := cliperf.StartCPUProfile(*cpuProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-		os.Exit(1)
-	}
-	defer stopCPU()
-	defer func() {
-		if err := cliperf.WriteMemProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-		}
-	}()
-	if err := cliperf.LoadProfileCache(*profCache); err != nil {
-		fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-		os.Exit(1)
-	}
+	stop := cf.Start()
+	defer stop()
 
 	fmt.Printf("measuring kernel profiles...\n")
-	std := profile.MeasureStandardWorkers(*seed, *workers)
-	if err := cliperf.SaveProfileCache(*profCache); err != nil {
-		fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-		os.Exit(1)
+	members := cf.Members()
+	if err := cf.SaveProfileCache(); err != nil {
+		cf.Fail(1, err)
 	}
-
-	cfg := workload.DefaultConfig(*seed)
-	cfg.Days = *days
-	cfg.Nodes = *nodes
-	mix := workload.DefaultMix(std)
-	if sp != nil {
-		var err error
-		if cfg, mix, err = spec.Resolve(sp, std); err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(2)
+	var sinks workload.TeeReducer
+	if *verbose {
+		nodes := 0
+		for _, m := range members {
+			nodes += m.Config.Nodes
 		}
-		cfg.Seed = *seed
-		// Explicitly-passed -days/-nodes override the spec's campaign
-		// block; the spec wins when the flag was left at its default.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "days":
-				cfg.Days = *days
-			case "nodes":
-				cfg.Nodes = *nodes
-			}
-		})
+		sinks = append(sinks, dayPrinter{nodes})
 	}
-	cfg.Workers = *workers
-	if *withFaults && cfg.Faults == nil {
-		f := faults.Default()
-		cfg.Faults = &f
-	}
-
-	var res workload.Result
 	var telRed workload.TelemetryReducer
-	if fleetFlags || (sp != nil && sp.Fleet != nil) {
-		// Fleet path: per-cluster configs (spec fleet block or -clusters
-		// replicas) with substream-derived seeds, sharded and merged in
-		// canonical cluster order by internal/fleet.
-		ccfg := core.Config{Seed: *seed, Workers: *workers}
-		flag.Visit(func(f *flag.Flag) {
-			// Explicit -days/-nodes override every cluster; defaults defer
-			// to the spec's campaign block and per-cluster overrides.
-			switch f.Name {
-			case "days":
-				ccfg.Days = *days
-			case "nodes":
-				ccfg.Nodes = *nodes
-			}
-		})
-		var sys *core.System
-		var err error
-		if sp != nil {
-			sys, err = core.NewWithSpec(ccfg, sp)
-		} else {
-			sys = core.New(ccfg)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(2)
-		}
-		members, err := sys.FleetMembers(*clusters)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(2)
-		}
-		totalNodes := 0
-		for i := range members {
-			if *withFaults && members[i].Config.Faults == nil {
-				f := faults.Default()
-				members[i].Config.Faults = &f
-			}
-			totalNodes += members[i].Config.Nodes
-		}
-		scenario := ""
-		if members[0].Config.Scenario != "" {
-			scenario = fmt.Sprintf(" [scenario %s]", members[0].Config.Scenario)
-		}
-		fmt.Printf("running %d-cluster fleet campaign (%d nodes total, %d shards, %d workers each)%s...\n",
-			len(members), totalNodes, *shards, *workers, scenario)
-		var sinks workload.TeeReducer
-		if *verbose {
-			sinks = append(sinks, dayPrinter{totalNodes})
-		}
-		if *telFmt != "" {
-			sinks = append(sinks, &telRed)
-		}
-		res, err = fleet.Run(members, fleet.Options{
-			Shards:     *shards,
-			Checkpoint: *checkpoint,
-			Resume:     *resumeRun,
-			HaltAfter:  *haltAfter,
-			RecordTo:   *recordTo,
-			ReplayFrom: *replayFrom,
-		}, sinks...)
-		switch {
-		case errors.Is(err, fleet.ErrHalted):
-			fmt.Printf("fleet halted after %d cluster completion(s); %s holds the partial campaign — rerun with -resume to continue\n",
-				*haltAfter, *checkpoint)
-			return
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(1)
-		}
-		cfg = res.Config
-	} else {
-		scenario := ""
-		if cfg.Scenario != "" {
-			scenario = fmt.Sprintf(" [scenario %s]", cfg.Scenario)
-		}
-		verb := "running"
-		if *replayFrom != "" {
-			verb = "replaying"
-		}
-		fmt.Printf("%s %d-day campaign on %d nodes (%d workers)%s...\n", verb, cfg.Days, cfg.Nodes, *workers, scenario)
-		var sinks workload.TeeReducer
-		if *verbose {
-			sinks = append(sinks, dayPrinter{cfg.Nodes})
-		}
-		if *telFmt != "" {
-			sinks = append(sinks, &telRed)
-		}
-		var err error
-		switch {
-		case *recordTo != "":
-			res, err = replay.RunRecorded(*recordTo, cfg, mix, sinks...)
-		case *replayFrom != "":
-			res, err = replay.RunReplayed(*replayFrom, cfg, mix, sinks...)
-		default:
-			var rr workload.ResultReducer
-			workload.NewCampaign(cfg, mix).RunInto(append(sinks, &rr))
-			res = rr.Result()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(1)
-		}
+	if cf.Telemetry != "" {
+		sinks = append(sinks, &telRed)
 	}
-	if *recordTo != "" {
-		fmt.Printf("campaign trace recorded to %s\n", *recordTo)
+	res, ok := cf.Run(members, sinks...)
+	if !ok {
+		return
+	}
+	if cf.Record != "" {
+		fmt.Printf("campaign trace recorded to %s\n", cf.Record)
 	}
 
 	if *out != "" {
 		if err := trace.WriteFile(*out, res); err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(1)
+			cf.Fail(1, err)
 		}
 		fmt.Printf("campaign database written to %s\n", *out)
 	}
 	if *csvOut != "" {
 		if err := trace.WriteRecordsCSVFile(*csvOut, res.Records); err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(1)
+			cf.Fail(1, err)
 		}
 		fmt.Printf("job database (CSV) written to %s\n", *csvOut)
 	}
@@ -374,7 +148,7 @@ func main() {
 	var gflops, utils []float64
 	for i, d := range res.Days {
 		gflops = append(gflops, res.DayGflops(i))
-		utils = append(utils, d.Utilization(cfg.Nodes))
+		utils = append(utils, d.Utilization(res.Config.Nodes))
 	}
 
 	fmt.Printf("\n=== campaign summary (paper values in brackets) ===\n")
@@ -423,17 +197,5 @@ func main() {
 
 	// The hpmtel snapshot captured at campaign Finish: the run measuring
 	// its own execution, appended after the simulated results.
-	if *telFmt != "" {
-		fmt.Printf("\n=== telemetry (hpmtel) ===\n")
-		var err error
-		if *telFmt == "json" {
-			err = telRed.Snapshot.WriteJSON(os.Stdout)
-		} else {
-			err = telRed.Snapshot.WriteText(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	cf.PrintTelemetry(telRed.Snapshot)
 }

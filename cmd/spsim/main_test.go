@@ -165,6 +165,12 @@ func TestFleetFlagValidationExits2(t *testing.T) {
 		{"halt-negative", []string{"-halt-after", "-1", "-days", "1"}, "-halt-after must be >= 0"},
 		{"resume-without-checkpoint", []string{"-resume", "-days", "1"}, "-resume requires -checkpoint"},
 		{"halt-without-checkpoint", []string{"-halt-after", "2", "-days", "1"}, "-halt-after requires -checkpoint"},
+		{"days-negative", []string{"-days", "-3"}, "-days must be >= 0"},
+		{"nodes-negative", []string{"-nodes", "-1", "-days", "1"}, "-nodes must be >= 0"},
+		{"workers-negative", []string{"-workers", "-1", "-days", "1"}, "-workers must be >= 0"},
+		// A cluster smaller than the paper mix's 128-node jobs would panic
+		// mid-run the first time it drew one.
+		{"nodes-below-largest-job", []string{"-nodes", "127", "-days", "1"}, "127 nodes, but its mix can draw a 128-node job"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

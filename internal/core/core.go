@@ -1,12 +1,14 @@
 // Package core is the library facade: one type that wires together the
 // whole reproduction — kernel profile measurement on the POWER2 CPU model,
-// the nine-month PBS workload campaign, and the analysis that regenerates
+// the definition of the nine-month PBS workload campaign (run through
+// internal/fleet, one cluster or many), and the analysis that regenerates
 // every table and figure of Bergeron's SC'98 measurement study.
 //
 // Typical use:
 //
 //	sys := core.New(core.Config{Seed: 1})
-//	res := sys.RunCampaign()
+//	members, err := sys.FleetMembers(0) // one 270-day, 144-node cluster
+//	res, err := fleet.Run(members, fleet.Options{})
 //	fmt.Print(sys.Report(res))
 //
 // Lower layers remain importable for finer control: power2 (the CPU),
@@ -26,12 +28,13 @@ import (
 	"repro/internal/power2"
 	"repro/internal/profile"
 	"repro/internal/spec"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// Config selects the campaign scale. Zero values choose the paper's
-// parameters (270 days, 144 nodes) with one engine worker per CPU.
+// Config selects the campaign scale. Zero Days and Nodes inherit the
+// campaign definition: the spec's campaign block, or the paper's 270
+// days on 144 nodes without a spec. Zero Workers means one engine worker
+// per CPU.
 type Config struct {
 	Days  int
 	Nodes int
@@ -48,85 +51,47 @@ type System struct {
 	cfg Config
 	std profile.Standard
 	mix workload.Mix
-	// base is the spec-resolved campaign configuration when the system was
-	// built with NewWithSpec; nil means the paper's DefaultConfig.
-	base *workload.Config
-	// sp is the source spec when built with NewWithSpec; the fleet path
-	// re-resolves it per cluster (fleet blocks carry per-cluster
-	// overrides a single Config cannot).
+	// base is the campaign block every cluster starts from: the spec's
+	// when the system was built with NewWithSpec, else DefaultConfig.
+	base workload.Config
+	// sp is the source spec when built with NewWithSpec; FleetMembers
+	// resolves its fleet block, whose per-cluster overrides base cannot
+	// carry.
 	sp *spec.Spec
-	// daysSet/nodesSet record whether the caller's Config carried
-	// explicit Days/Nodes — those override every cluster of a fleet,
-	// while inherited values defer to per-cluster spec overrides.
-	daysSet, nodesSet bool
 }
 
 // New measures the standard kernel profiles (a few hundred thousand
 // simulated instructions each) and returns a ready System running the
 // built-in paper-1996 workload.
 func New(cfg Config) *System {
-	daysSet, nodesSet := cfg.Days != 0, cfg.Nodes != 0
-	if cfg.Days == 0 {
-		cfg.Days = 270
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = units.NodeCount
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	std := profile.MeasureStandardWorkers(cfg.Seed, cfg.Workers)
-	return &System{cfg: cfg, std: std, mix: workload.DefaultMix(std), daysSet: daysSet, nodesSet: nodesSet}
+	s := measure(cfg)
+	s.mix = workload.DefaultMix(s.std)
+	s.base = workload.DefaultConfig(cfg.Seed)
+	return s
 }
 
 // NewWithSpec measures the standard kernel profiles and resolves the
 // given workload spec against them: the declarative path into the same
-// facade. Zero Config fields inherit the spec's campaign block rather
-// than the paper's constants; Seed and Workers are always the caller's.
+// facade. Seed and Workers are always the caller's.
 func NewWithSpec(cfg Config, sp *spec.Spec) (*System, error) {
-	daysSet, nodesSet := cfg.Days != 0, cfg.Nodes != 0
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	std := profile.MeasureStandardWorkers(cfg.Seed, cfg.Workers)
-	wc, mix, err := spec.Resolve(sp, std)
-	if err != nil {
+	s := measure(cfg)
+	var err error
+	if s.base, s.mix, err = spec.Resolve(sp, s.std); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.Days == 0 {
-		cfg.Days = wc.Days
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = wc.Nodes
-	}
-	return &System{cfg: cfg, std: std, mix: mix, base: &wc, sp: sp, daysSet: daysSet, nodesSet: nodesSet}, nil
+	s.sp = sp
+	return s, nil
 }
 
 // Profiles exposes the measured kernel signatures.
 func (s *System) Profiles() profile.Standard { return s.std }
 
-// CampaignConfig returns the workload configuration the system will run.
-func (s *System) CampaignConfig() workload.Config {
-	wc := workload.DefaultConfig(s.cfg.Seed)
-	if s.base != nil {
-		wc = *s.base
-		wc.Seed = s.cfg.Seed
+// measure resolves the worker count and measures the standard profiles.
+func measure(cfg Config) *System {
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	wc.Days = s.cfg.Days
-	wc.Nodes = s.cfg.Nodes
-	wc.Workers = s.cfg.Workers
-	return wc
-}
-
-// RunCampaign executes the measurement window and returns its reduction.
-func (s *System) RunCampaign() workload.Result {
-	return workload.NewCampaign(s.CampaignConfig(), s.mix).Run()
-}
-
-// RunCampaignInto executes the measurement window, streaming the
-// reduction into red (see workload.Reducer).
-func (s *System) RunCampaignInto(red workload.Reducer) {
-	workload.NewCampaign(s.CampaignConfig(), s.mix).RunInto(red)
+	return &System{cfg: cfg, std: profile.MeasureStandardWorkers(cfg.Seed, cfg.Workers)}
 }
 
 // MeasureKernel micro-simulates a registered kernel on a fresh SP2 node

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/hpm"
 	"repro/internal/rs2hpm"
 	"repro/internal/spec"
@@ -23,14 +25,35 @@ func system(t *testing.T) *System {
 	return sys
 }
 
-func TestDefaultsFillIn(t *testing.T) {
-	s := system(t)
-	wc := s.CampaignConfig()
-	if wc.Days != 20 {
-		t.Fatalf("days = %d", wc.Days)
+// fleetOfOne returns the system's single-cluster definition.
+func fleetOfOne(t *testing.T, s *System) fleet.Member {
+	t.Helper()
+	members, err := s.FleetMembers(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wc.Nodes != 144 {
-		t.Fatalf("nodes = %d, want the SP2's 144", wc.Nodes)
+	if len(members) != 1 {
+		t.Fatalf("got %d members, want a fleet of one", len(members))
+	}
+	return members[0]
+}
+
+// runCampaign runs the system's fleet of one through fleet.Run.
+func runCampaign(t *testing.T, s *System) workload.Result {
+	t.Helper()
+	res, err := fleet.Run([]fleet.Member{fleetOfOne(t, s)}, fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestDefaultsFillIn(t *testing.T) {
+	want := workload.DefaultConfig(3)
+	want.Days = 20
+	want.Workers = runtime.GOMAXPROCS(0)
+	if got := fleetOfOne(t, system(t)).Config; got != want {
+		t.Fatalf("config:\n got %+v\nwant %+v (the paper's 144 nodes, 20 explicit days)", got, want)
 	}
 }
 
@@ -46,7 +69,7 @@ func TestNewWithSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc := s.CampaignConfig()
+	wc := fleetOfOne(t, s).Config
 	if wc.Days != 2 {
 		t.Fatalf("days = %d, want the override 2", wc.Days)
 	}
@@ -62,7 +85,7 @@ func TestNewWithSpec(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	res := s.RunCampaign()
+	res := runCampaign(t, s)
 	if len(res.Days) != 2 {
 		t.Fatalf("days = %d", len(res.Days))
 	}
@@ -96,7 +119,7 @@ func TestEndToEndReport(t *testing.T) {
 		t.Skip("full report in -short mode")
 	}
 	s := system(t)
-	res := s.RunCampaign()
+	res := runCampaign(t, s)
 	if len(res.Days) != 20 {
 		t.Fatalf("days = %d", len(res.Days))
 	}

@@ -1,9 +1,7 @@
 package core
 
-// The fleet-backed facade path: the same System that runs one campaign
-// can run a sharded multi-cluster fleet (internal/fleet), with the fleet
-// shape coming from the spec's fleet block, an explicit cluster count,
-// or both (the explicit count wins and replicates the base campaign).
+// The fleet definition: the members internal/fleet runs, from the spec's
+// fleet block, an explicit cluster count, or a fleet of one.
 
 import (
 	"fmt"
@@ -13,92 +11,47 @@ import (
 	"repro/internal/workload"
 )
 
-// FleetConfig selects the fleet shape and execution for RunFleet. The
-// zero value runs the spec's fleet block (or a fleet of one) in a single
-// shard with no checkpointing.
-type FleetConfig struct {
-	// Clusters, when > 0, overrides the fleet size with that many
-	// homogeneous copies of the base campaign (per-cluster spec overrides
-	// are dropped — an explicit count redefines the fleet).
-	Clusters int
-	// Shards is the number of cluster-level workers (see fleet.Options).
-	Shards int
-	// Checkpoint / CheckpointEachDay / Resume / HaltAfter / RecordTo /
-	// ReplayFrom map directly to fleet.Options.
-	Checkpoint        string
-	CheckpointEachDay bool
-	Resume            bool
-	HaltAfter         int
-	RecordTo          string
-	ReplayFrom        string
-}
-
-// FleetMembers builds the fleet definition the system would run:
-// per-cluster campaign configs with substream-derived seeds and the
-// shared mix. clusters > 0 forces that many homogeneous copies of the
-// base campaign; 0 defers to the spec's fleet block (a fleet of one
-// without a spec, or when the spec has no fleet block).
+// FleetMembers builds the fleet definition the system runs through
+// fleet.Run: per-cluster campaign configs with substream-derived seeds
+// and the shared mix. clusters > 0 forces that many homogeneous copies
+// of the base campaign; 0 defers to the spec's fleet block (a fleet of
+// one without a spec, or when the spec has no fleet block). Non-zero
+// Config.Days/Nodes override every cluster; zero values inherit the
+// campaign block and the spec's per-cluster overrides. A cluster with
+// fewer days than one, or fewer nodes than the largest job its mix can
+// draw, is an error: its campaign could not run to the end.
 func (s *System) FleetMembers(clusters int) ([]fleet.Member, error) {
-	var cfgs []workload.Config
+	cfgs := []workload.Config{s.base}
 	switch {
-	case clusters > 0 || s.sp == nil || s.sp.Fleet == nil:
-		if clusters <= 0 {
-			clusters = 1
-		}
-		base := s.CampaignConfig()
+	case clusters > 0:
 		cfgs = make([]workload.Config, clusters)
 		for i := range cfgs {
-			cfgs[i] = base
+			cfgs[i] = s.base
 		}
-	default:
+	case s.sp != nil && s.sp.Fleet != nil:
 		var err error
-		cfgs, _, err = spec.ResolveFleet(s.sp, s.std)
-		if err != nil {
+		if cfgs, _, err = spec.ResolveFleet(s.sp, s.std); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		for i := range cfgs {
-			// Explicit caller overrides apply fleet-wide; inherited values
-			// defer to the spec's per-cluster overrides.
-			if s.daysSet {
-				cfgs[i].Days = s.cfg.Days
-			}
-			if s.nodesSet {
-				cfgs[i].Nodes = s.cfg.Nodes
-			}
-			cfgs[i].Workers = s.cfg.Workers
-		}
 	}
+	maxJob := s.mix.MaxJobNodes()
 	members := make([]fleet.Member, len(cfgs))
-	for i := range cfgs {
-		cfgs[i].Seed = workload.ClusterSeed(s.cfg.Seed, i)
-		members[i] = fleet.Member{Config: cfgs[i], Mix: s.mix}
+	for i, c := range cfgs {
+		if s.cfg.Days != 0 {
+			c.Days = s.cfg.Days
+		}
+		if s.cfg.Nodes != 0 {
+			c.Nodes = s.cfg.Nodes
+		}
+		c.Seed = workload.ClusterSeed(s.cfg.Seed, i)
+		c.Workers = s.cfg.Workers
+		switch {
+		case c.Days < 1:
+			return nil, fmt.Errorf("core: cluster %d has %d days, want at least 1", i, c.Days)
+		case c.Nodes < maxJob:
+			return nil, fmt.Errorf("core: cluster %d has %d nodes, but its mix can draw a %d-node job", i, c.Nodes, maxJob)
+		}
+		members[i] = fleet.Member{Config: c, Mix: s.mix}
 	}
 	return members, nil
-}
-
-// RunFleet executes the fleet campaign, streaming the merged reduction
-// into the sinks, and returns the merged Result (see fleet.Run).
-func (s *System) RunFleet(fc FleetConfig, sinks ...workload.Reducer) (workload.Result, error) {
-	members, err := s.FleetMembers(fc.Clusters)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	return fleet.Run(members, fleet.Options{
-		Shards:            fc.Shards,
-		Checkpoint:        fc.Checkpoint,
-		CheckpointEachDay: fc.CheckpointEachDay,
-		Resume:            fc.Resume,
-		HaltAfter:         fc.HaltAfter,
-		RecordTo:          fc.RecordTo,
-		ReplayFrom:        fc.ReplayFrom,
-	}, sinks...)
-}
-
-// FleetClusters reports the fleet size the system would run with no
-// explicit cluster-count override.
-func (s *System) FleetClusters() int {
-	if s.sp != nil && s.sp.Fleet != nil {
-		return s.sp.Fleet.Clusters
-	}
-	return 1
 }

@@ -1,20 +1,23 @@
 package core
 
-// The record/replay facade, end to end: the golden campaign hash must
-// come back through RunCampaignRecordTo → RunCampaignReplayFrom and
-// through the fleet path (RecordTo/ReplayFrom at shards {1, 4}), and a
-// replay against a different system must hard-fail with the replay
-// package's mismatch error.
+// Record/replay through the fleet definitions the facade builds: the
+// golden campaign hash must come back through a live record and a
+// replay at shards {1, 4}, and the committed trace fixtures — recorded
+// by spsim before every campaign ran on the fleet engine — must replay
+// bit for bit at any worker and shard count, and refuse a different
+// definition with the replay package's mismatch error.
 
 import (
 	"encoding/json"
 	"errors"
 	"hash/fnv"
 	"path/filepath"
-	"sync"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/replay"
+	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -31,55 +34,13 @@ func campaignHash(t *testing.T, r workload.Result) uint64 {
 	return h.Sum64()
 }
 
-var (
-	goldenOnce sync.Once
-	goldenSys  *System
-)
-
-// goldenSystem builds the golden recipe through the facade: seed 7,
-// 2-day default campaign (serial engine so the recipe is explicit).
-func goldenSystem(t *testing.T) *System {
-	t.Helper()
-	goldenOnce.Do(func() { goldenSys = New(Config{Days: 2, Seed: 7, Workers: 1}) })
-	return goldenSys
-}
-
-func TestRunCampaignRecordReplayGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden campaign is a full 2-day simulation per case")
-	}
-	s := goldenSystem(t)
-	path := filepath.Join(t.TempDir(), "core.trace.gz")
-	live, err := s.RunCampaignRecordTo(path)
-	if err != nil {
-		t.Fatalf("record: %v", err)
-	}
-	if h := campaignHash(t, live); h != goldenCampaignHash {
-		t.Fatalf("recorded run hash %#x, want golden %#x", h, goldenCampaignHash)
-	}
-	res, err := s.RunCampaignReplayFrom(path)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if h := campaignHash(t, res); h != goldenCampaignHash {
-		t.Fatalf("replayed hash %#x, want golden %#x", h, goldenCampaignHash)
-	}
-
-	// A different seed is a different campaign: the facade must surface
-	// the fingerprint mismatch, not a plausible wrong Result.
-	other := New(Config{Days: 2, Seed: 8, Workers: 1})
-	if _, err := other.RunCampaignReplayFrom(path); !errors.Is(err, replay.ErrMismatch) {
-		t.Fatalf("replay against the wrong system: %v, want ErrMismatch", err)
-	}
-}
-
-func TestRunFleetRecordReplayGolden(t *testing.T) {
+func TestFleetMembersRecordReplayGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden fleet campaign is a full 2-day simulation per case")
 	}
-	s := goldenSystem(t)
+	members := []fleet.Member{fleetOfOne(t, New(Config{Days: 2, Seed: 7, Workers: 1}))}
 	path := filepath.Join(t.TempDir(), "core-fleet.trace.gz")
-	live, err := s.RunFleet(FleetConfig{RecordTo: path})
+	live, err := fleet.Run(members, fleet.Options{RecordTo: path})
 	if err != nil {
 		t.Fatalf("fleet record: %v", err)
 	}
@@ -87,12 +48,87 @@ func TestRunFleetRecordReplayGolden(t *testing.T) {
 		t.Fatalf("recorded fleet hash %#x, want golden %#x", h, goldenCampaignHash)
 	}
 	for _, shards := range []int{1, 4} {
-		res, err := s.RunFleet(FleetConfig{Shards: shards, ReplayFrom: path})
+		res, err := fleet.Run(members, fleet.Options{Shards: shards, ReplayFrom: path})
 		if err != nil {
 			t.Fatalf("shards=%d: fleet replay: %v", shards, err)
 		}
 		if h := campaignHash(t, res); h != goldenCampaignHash {
 			t.Fatalf("shards=%d: replayed fleet hash %#x, want golden %#x", shards, h, goldenCampaignHash)
 		}
+	}
+}
+
+// traceFixtures are the committed traces under testdata, each recorded
+// by spsim with -shards 1 (so the record order is fixed) and its
+// Result hash read back from the same run's -o database.
+var traceFixtures = []struct {
+	file   string
+	cmd    string // the recording command line, minus -record
+	spec   string // preset name; "" is the built-in paper mix
+	faults bool   // -faults
+	fleet  int    // -clusters
+	hash   uint64
+}{
+	{"paper-1996.trace.gz", "spsim -seed 7 -days 2", "", false, 0, goldenCampaignHash},
+	{"paper-1996-faulted.trace.gz", "spsim -seed 7 -days 2 -faults", "", true, 0, 0x776731b266941640},
+	{"bursty-2cluster.trace.gz", "spsim -seed 7 -days 2 -spec bursty -clusters 2 -shards 1", "bursty", false, 2, 0x906e3ce3917a40ef},
+}
+
+// fixtureMembers rebuilds a fixture's definition the way the CLIs do
+// (internal/cliperf): the system from the seed, days and spec, its
+// fleet members, and the default fault mix on clusters without one.
+func fixtureMembers(t *testing.T, specName string, withFaults bool, clusters int, seed uint64, workers int) []fleet.Member {
+	t.Helper()
+	cfg := Config{Days: 2, Seed: seed, Workers: workers}
+	var s *System
+	if specName == "" {
+		s = New(cfg)
+	} else {
+		sp, err := spec.Load(specName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err = NewWithSpec(cfg, sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	members, err := s.FleetMembers(clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range members {
+		if withFaults && members[i].Config.Faults == nil {
+			f := faults.Default()
+			members[i].Config.Faults = &f
+		}
+	}
+	return members
+}
+
+// TestTraceFixturesReplay replays each committed trace at workers
+// {1, 3} x shards {1, 2} and requires the hash of the run that recorded
+// it; a different seed is a different definition and must be refused.
+func TestTraceFixturesReplay(t *testing.T) {
+	for _, fx := range traceFixtures {
+		t.Run(fx.file, func(t *testing.T) {
+			path := filepath.Join("testdata", fx.file)
+			for _, workers := range []int{1, 3} {
+				members := fixtureMembers(t, fx.spec, fx.faults, fx.fleet, 7, workers)
+				for _, shards := range []int{1, 2} {
+					res, err := fleet.Run(members, fleet.Options{Shards: shards, ReplayFrom: path})
+					if err != nil {
+						t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+					}
+					if h := campaignHash(t, res); h != fx.hash {
+						t.Fatalf("workers=%d shards=%d: replayed hash %#x, want %#x, the hash of `%s`",
+							workers, shards, h, fx.hash, fx.cmd)
+					}
+				}
+			}
+			other := fixtureMembers(t, fx.spec, fx.faults, fx.fleet, 8, 1)
+			if _, err := fleet.Run(other, fleet.Options{ReplayFrom: path}); !errors.Is(err, replay.ErrMismatch) {
+				t.Fatalf("replay at seed 8: %v, want ErrMismatch", err)
+			}
+		})
 	}
 }

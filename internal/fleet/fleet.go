@@ -22,10 +22,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/replay"
@@ -34,13 +32,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Member is one cluster of the fleet: a complete campaign definition.
-// Derive Config.Seed with workload.ClusterSeed so clusters draw from
-// disjoint substream namespaces.
-type Member struct {
-	Config workload.Config
-	Mix    workload.Mix
-}
+// Member is one cluster of the fleet: a complete campaign definition,
+// the same (Config, Mix) pair a campaign trace records. Derive
+// Config.Seed with workload.ClusterSeed so clusters draw from disjoint
+// substream namespaces.
+type Member = replay.Def
 
 // Options shape a fleet run. The zero value runs everything in one shard
 // with no checkpointing.
@@ -84,25 +80,14 @@ type Options struct {
 // Result yet.
 var ErrHalted = errors.New("fleet: halted by HaltAfter; campaign checkpointed, not complete")
 
-// ID binds a checkpoint to a fleet definition: the fnv-64a hash of every
-// member's serialized (Config, Mix). Execution knobs (Workers, the spec
-// label) are excluded from Config's JSON form, so a resume may change
-// shard or worker counts without invalidating the checkpoint.
-func ID(members []Member) uint64 {
-	h := fnv.New64a()
-	enc := json.NewEncoder(h)
-	for i := range members {
-		if err := enc.Encode(members[i]); err != nil {
-			panic(fmt.Sprintf("fleet: hashing member %d: %v", i, err))
-		}
-	}
-	return h.Sum64()
-}
-
 // run is the shared state of one fleet execution.
 type run struct {
 	members []Member
 	opts    Options
+	// id binds checkpoints to the fleet definition: the trace
+	// fingerprint of the members. Execution knobs (Workers, the spec
+	// label) are excluded from Config's JSON form, so a resume may change
+	// shard or worker counts without invalidating the checkpoint.
 	id      uint64
 	maxDays int
 
@@ -165,7 +150,7 @@ func Run(members []Member, opts Options, sinks ...workload.Reducer) (workload.Re
 	r := &run{
 		members: members,
 		opts:    opts,
-		id:      ID(members),
+		id:      replay.Fingerprint(members),
 		parts:   make([]workload.Result, len(members)),
 		done:    make([]bool, len(members)),
 		sinks:   append(workload.TeeReducer(sinks), &rr),
@@ -176,29 +161,23 @@ func Run(members []Member, opts Options, sinks ...workload.Reducer) (workload.Re
 		}
 	}
 
-	if opts.RecordTo != "" || opts.ReplayFrom != "" {
-		defs := make([]replay.Def, len(members))
-		for i := range members {
-			defs[i] = replay.Def{Config: members[i].Config, Mix: members[i].Mix}
+	if opts.RecordTo != "" {
+		rec, err := replay.Create(opts.RecordTo, replay.HeaderFor(members))
+		if err != nil {
+			return workload.Result{}, fmt.Errorf("fleet: %w", err)
 		}
-		if opts.RecordTo != "" {
-			rec, err := replay.Create(opts.RecordTo, replay.HeaderFor(defs))
-			if err != nil {
-				return workload.Result{}, fmt.Errorf("fleet: %w", err)
-			}
-			r.rec = rec
-			defer rec.Abort() // no-op once Close succeeds; discards on failure
+		r.rec = rec
+		defer rec.Abort() // no-op once Close succeeds; discards on failure
+	}
+	if opts.ReplayFrom != "" {
+		rp, err := replay.OpenFile(opts.ReplayFrom)
+		if err != nil {
+			return workload.Result{}, fmt.Errorf("fleet: %w", err)
 		}
-		if opts.ReplayFrom != "" {
-			rp, err := replay.OpenFile(opts.ReplayFrom)
-			if err != nil {
-				return workload.Result{}, fmt.Errorf("fleet: %w", err)
-			}
-			if err := rp.Validate(defs); err != nil {
-				return workload.Result{}, fmt.Errorf("fleet: %w", err)
-			}
-			r.rp = rp
+		if err := rp.Validate(members); err != nil {
+			return workload.Result{}, fmt.Errorf("fleet: %w", err)
 		}
+		r.rp = rp
 	}
 
 	if opts.Resume {

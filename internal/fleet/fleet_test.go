@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/profile"
+	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -254,6 +255,15 @@ func TestFleetResumeRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := Run(members, opts); !errors.Is(err, ErrHalted) {
 		t.Fatalf("got %v, want ErrHalted", err)
 	}
+	// A checkpoint is bound by the same fingerprint a trace of this
+	// fleet carries.
+	cp, err := trace.ReadFleetCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := replay.HeaderFor(members).Fingerprint; cp.FleetID != want {
+		t.Fatalf("checkpoint FleetID %#x, trace fingerprint %#x", cp.FleetID, want)
+	}
 	// A different fleet definition (different seed) must refuse the file.
 	other := smallFleet(t, 2, 1, 6)
 	if _, err := Run(other, Options{Checkpoint: path, Resume: true}); err == nil {
@@ -268,16 +278,18 @@ func TestFleetResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestFleetIDIgnoresExecutionKnobs checks the fingerprint that binds
+// checkpoints (and traces) to a fleet definition.
 func TestFleetIDIgnoresExecutionKnobs(t *testing.T) {
 	a := smallFleet(t, 2, 1, 9)
 	b := smallFleet(t, 2, 1, 9)
 	b[0].Config.Workers = 16
 	b[1].Config.Scenario = "renamed"
-	if ID(a) != ID(b) {
-		t.Fatal("fleet ID depends on Workers/Scenario — resume would break across shard/worker changes")
+	if replay.Fingerprint(a) != replay.Fingerprint(b) {
+		t.Fatal("fleet fingerprint depends on Workers/Scenario — resume would break across shard/worker changes")
 	}
 	c := smallFleet(t, 2, 1, 10)
-	if ID(a) == ID(c) {
-		t.Fatal("different fleet definitions share an ID")
+	if replay.Fingerprint(a) == replay.Fingerprint(c) {
+		t.Fatal("different fleet definitions share a fingerprint")
 	}
 }

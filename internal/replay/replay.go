@@ -21,7 +21,7 @@
 //
 // A trace is bound to the campaign definition that wrote it by a config
 // fingerprint (the fnv-64a hash of every cluster's serialized
-// (Config, Mix), the same scheme fleet.ID uses). Replaying a trace
+// (Config, Mix), which also binds fleet checkpoints). Replaying a trace
 // against a different definition is a hard ErrMismatch, never a silently
 // wrong answer. Execution knobs (Workers, shard count, Scenario label)
 // are excluded from Config's JSON form, so a replay may use any of them.
@@ -93,18 +93,19 @@ type Record struct {
 }
 
 // Def is one cluster's campaign definition — what the trace is recorded
-// from and validated against on replay. For a plain (non-fleet) campaign
-// the definition is a single Def.
+// from and validated against on replay (fleet.Member is this type). A
+// single-cluster campaign's definition is a single Def.
 type Def struct {
 	Config workload.Config
 	Mix    workload.Mix
 }
 
-// Fingerprint hashes a campaign definition the way fleet.ID hashes a
-// fleet: fnv-64a over each cluster's serialized (Config, Mix). Workers
-// and Scenario carry `json:"-"`, so execution knobs never affect the
-// fingerprint. It panics only if the definition is unserializable, which
-// a constructible Config/Mix never is.
+// Fingerprint hashes a campaign definition: fnv-64a over each cluster's
+// serialized (Config, Mix). It binds both traces and fleet checkpoints
+// to the definition that wrote them. Workers and Scenario carry
+// `json:"-"`, so execution knobs never affect the fingerprint. It panics
+// only if the definition is unserializable, which a constructible
+// Config/Mix never is.
 func Fingerprint(defs []Def) uint64 {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)

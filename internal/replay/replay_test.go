@@ -1,10 +1,10 @@
 package replay_test
 
 // The differential proof layer: record a campaign, replay the trace,
-// and demand full-Result hash equality with the live run — through the
-// single-campaign path at workers {1, 8}, through the fleet path at
-// shards {1, 4}, and for faulted campaigns whose resolved fault plans
-// must round-trip through the trace. The golden campaign hash pins the
+// and demand full-Result hash equality with the live run — across
+// workers {1, 8}, across shards {1, 4}, and for faulted campaigns whose
+// resolved fault plans must round-trip through the trace. Every
+// campaign runs through fleet.Run, a single campaign as a fleet of one. The golden campaign hash pins the
 // replay path to the same constant every other execution knob is pinned
 // to: a trace-fed simulation is an execution knob, never a model change.
 //
@@ -56,7 +56,7 @@ func TestGoldenRecordReplay(t *testing.T) {
 	for _, recWorkers := range []int{1, 8} {
 		cfg, mix := goldenDef(recWorkers)
 		path := filepath.Join(t.TempDir(), "golden.trace.gz")
-		live, err := replay.RunRecorded(path, cfg, mix)
+		live, err := fleet.Run([]fleet.Member{{Config: cfg, Mix: mix}}, fleet.Options{RecordTo: path})
 		if err != nil {
 			t.Fatalf("workers=%d: record: %v", recWorkers, err)
 		}
@@ -67,7 +67,7 @@ func TestGoldenRecordReplay(t *testing.T) {
 		for _, repWorkers := range []int{1, 8} {
 			rcfg := cfg
 			rcfg.Workers = repWorkers
-			res, err := replay.RunReplayed(path, rcfg, mix)
+			res, err := fleet.Run([]fleet.Member{{Config: rcfg, Mix: mix}}, fleet.Options{ReplayFrom: path})
 			if err != nil {
 				t.Fatalf("workers=%d->%d: replay: %v", recWorkers, repWorkers, err)
 			}
@@ -132,7 +132,7 @@ func TestFaultedRecordReplay(t *testing.T) {
 	}
 	cfg, mix := faultedDef(t)
 	path := filepath.Join(t.TempDir(), "faulted.trace.gz")
-	live, err := replay.RunRecorded(path, cfg, mix)
+	live, err := fleet.Run([]fleet.Member{{Config: cfg, Mix: mix}}, fleet.Options{RecordTo: path})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestFaultedRecordReplay(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		rcfg := cfg
 		rcfg.Workers = workers
-		res, err := replay.RunReplayed(path, rcfg, mix)
+		res, err := fleet.Run([]fleet.Member{{Config: rcfg, Mix: mix}}, fleet.Options{ReplayFrom: path})
 		if err != nil {
 			t.Fatalf("workers=%d: replay: %v", workers, err)
 		}

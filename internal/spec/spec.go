@@ -59,7 +59,7 @@ type Spec struct {
 	// Fleet optionally scales the scenario out to a multi-cluster fleet
 	// (internal/fleet): Clusters copies of the campaign, each seeded from
 	// its own substream, merged through the canonical-order fleet
-	// reduction. Absent means the classic single-cluster campaign.
+	// reduction. Absent means a single-cluster campaign (a fleet of one).
 	Fleet *FleetBlock `json:"fleet,omitempty"`
 }
 

@@ -105,3 +105,15 @@ func (s SizeDist) sampler() *rng.Weighted {
 	}
 	return rng.NewWeighted(s.Weights)
 }
+
+// maxNodes returns the largest count the distribution can draw: the
+// biggest count with a positive weight (0 for an empty table).
+func (s SizeDist) maxNodes() int {
+	most := 0
+	for i, n := range s.Counts {
+		if i < len(s.Weights) && s.Weights[i] > 0 && n > most {
+			most = n
+		}
+	}
+	return most
+}

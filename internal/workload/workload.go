@@ -127,6 +127,26 @@ func (m *Mix) ClientNamed(name string) *Client {
 	return nil
 }
 
+// MaxJobNodes returns the largest node count a job of this mix can
+// request: the biggest positively weighted count of every client's size
+// override, and of the mix-wide table if some client keeps it. PBS
+// rejects a job larger than its cluster, so a campaign needs at least
+// this many nodes.
+func (m *Mix) MaxJobNodes() int {
+	most, shared := 0, false
+	for i := range m.Clients {
+		if js := m.Clients[i].JobSize; js != nil {
+			most = max(most, js.maxNodes())
+		} else {
+			shared = true
+		}
+	}
+	if shared {
+		most = max(most, m.JobSize.maxNodes())
+	}
+	return most
+}
+
 // classByName returns the class with the given name; it panics on an
 // unknown name, which can only mean a Mix was swapped mid-campaign.
 func (m *Mix) classByName(name string) Class {
