@@ -68,15 +68,22 @@ bench-smoke:
 bench-gate:
 	$(GO) test -run '^$$' -bench 'CampaignDay|FleetCampaign|MeasureStandardCold|CollectorThroughput' -benchtime 1x . | $(GO) run ./cmd/benchjson -o '' -diff BENCH_campaign.json -gate BENCH_gates.json
 
-# Operational smoke of the fleet engine through the real CLI: run a
-# 2-cluster fleet sharded 2 ways, force a halt after the first cluster
-# completes (writing the checkpoint), then resume from it to completion.
-FLEET_SMOKE_CP := $(if $(TMPDIR),$(TMPDIR),/tmp)/hpm-fleet-smoke.json.gz
+# Differential smoke of the fleet engine's checkpoint journal through the
+# real CLI: run a 2-cluster fleet sharded 2 ways uninterrupted, exporting
+# its database; run it again halted after the first cluster completes;
+# tear the journal's last append as a kill would (cut its last 100
+# bytes); resume to completion, exporting the database again; and require
+# the two databases to be byte-identical. cmp is the whole proof.
+FLEET_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)
+FLEET_SMOKE_FILES := $(FLEET_SMOKE_DIR)/hpm-fleet-smoke.json.gz $(FLEET_SMOKE_DIR)/hpm-fleet-whole.json $(FLEET_SMOKE_DIR)/hpm-fleet-resumed.json
 fleet-smoke:
-	rm -f $(FLEET_SMOKE_CP)
-	$(GO) run ./cmd/spsim -days 2 -clusters 2 -shards 2 -checkpoint $(FLEET_SMOKE_CP) -halt-after 1
-	$(GO) run ./cmd/spsim -days 2 -clusters 2 -shards 2 -checkpoint $(FLEET_SMOKE_CP) -resume
-	rm -f $(FLEET_SMOKE_CP)
+	rm -f $(FLEET_SMOKE_FILES)
+	$(GO) run ./cmd/spsim -days 2 -clusters 2 -shards 2 -o $(FLEET_SMOKE_DIR)/hpm-fleet-whole.json
+	$(GO) run ./cmd/spsim -days 2 -clusters 2 -shards 2 -checkpoint $(FLEET_SMOKE_DIR)/hpm-fleet-smoke.json.gz -halt-after 1
+	truncate -s -100 $(FLEET_SMOKE_DIR)/hpm-fleet-smoke.json.gz
+	$(GO) run ./cmd/spsim -days 2 -clusters 2 -shards 2 -checkpoint $(FLEET_SMOKE_DIR)/hpm-fleet-smoke.json.gz -resume -o $(FLEET_SMOKE_DIR)/hpm-fleet-resumed.json
+	cmp $(FLEET_SMOKE_DIR)/hpm-fleet-whole.json $(FLEET_SMOKE_DIR)/hpm-fleet-resumed.json
+	rm -f $(FLEET_SMOKE_FILES)
 
 # Differential smoke of trace record/replay through the real CLI: record
 # a 2-day campaign while exporting its database, replay the trace at a

@@ -229,7 +229,7 @@ func NewPlan(cfg Config, seed uint64, day, nodes, ticks int) Plan {
 }
 
 // Empty reports whether the plan schedules no fault at all.
-func (p Plan) Empty() bool {
+func (p *Plan) Empty() bool {
 	for _, f := range p.downFrom {
 		if f >= 0 {
 			return false
@@ -254,7 +254,7 @@ func (p Plan) Empty() bool {
 }
 
 // Down reports whether the node is unreachable at the tick.
-func (p Plan) Down(node, tick int) bool {
+func (p *Plan) Down(node, tick int) bool {
 	if p.downFrom == nil || node < 0 || node >= p.Nodes {
 		return false
 	}
@@ -262,7 +262,7 @@ func (p Plan) Down(node, tick int) bool {
 }
 
 // Dropped reports whether the cron sweep misses the node at the tick.
-func (p Plan) Dropped(node, tick int) bool {
+func (p *Plan) Dropped(node, tick int) bool {
 	if p.drop == nil || node < 0 || node >= p.Nodes || tick < 0 || tick >= p.Ticks {
 		return false
 	}
@@ -270,7 +270,7 @@ func (p Plan) Dropped(node, tick int) bool {
 }
 
 // Duplicated reports whether the sweep reads the node twice at the tick.
-func (p Plan) Duplicated(node, tick int) bool {
+func (p *Plan) Duplicated(node, tick int) bool {
 	if p.dup == nil || node < 0 || node >= p.Nodes || tick < 0 || tick >= p.Ticks {
 		return false
 	}
@@ -278,7 +278,7 @@ func (p Plan) Duplicated(node, tick int) bool {
 }
 
 // ResetAt returns the reset event scheduled for the node at the tick.
-func (p Plan) ResetAt(node, tick int) ResetKind {
+func (p *Plan) ResetAt(node, tick int) ResetKind {
 	if p.resetTick == nil || node < 0 || node >= p.Nodes || p.resetTick[node] != tick {
 		return NoReset
 	}

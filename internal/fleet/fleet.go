@@ -45,21 +45,20 @@ type Options struct {
 	// one shard. Shards trades wall clock only — the merged Result is
 	// bit-identical for every value.
 	Shards int
-	// Checkpoint, when non-empty, is the path checkpoints are written to
-	// (atomically, after every cluster completion; ".gz" compresses).
+	// Checkpoint, when non-empty, is the path of the checkpoint journal
+	// (internal/trace; ".gz" compresses). A fresh run replaces any file
+	// there with the journal's header before a cluster starts, then
+	// appends and fsyncs each cluster as it completes.
 	Checkpoint string
-	// CheckpointEachDay additionally rewrites the checkpoint at every
-	// cluster-day boundary, keeping the cursor record fresh for long
-	// clusters at the cost of more (still atomic) writes.
-	CheckpointEachDay bool
 	// Resume loads Checkpoint before running and skips the clusters it
 	// records as complete. The checkpoint must match the fleet definition
 	// (FleetID) or Run fails.
 	Resume bool
 	// HaltAfter, when positive, stops the run after that many cluster
 	// completions in this process: no new clusters start, the checkpoint
-	// holds the completed frontier, and Run returns ErrHalted. It exists
-	// to force kill/resume cycles in tests and smoke targets.
+	// holds the completed frontier, and Run returns ErrHalted. It requires
+	// Checkpoint, and exists to force kill/resume cycles in tests and
+	// smoke targets.
 	HaltAfter int
 	// RecordTo, when non-empty, records every cluster's generated plans
 	// (and resolved fault schedules) to a campaign trace at this path
@@ -106,8 +105,8 @@ type run struct {
 	completions int
 	// halt stops shards from starting new clusters; guarded by mu.
 	halt bool
-	// cpErr is the first checkpoint-write failure; once set, no further
-	// writes are attempted and Run reports it. Guarded by mu.
+	// cpErr is the first checkpoint-append failure; once set, no new
+	// cluster starts and Run reports it. Guarded by mu.
 	cpErr error
 	// sinks receive the merged day stream; called only under mu, so
 	// reducers need no locking of their own. The tail sink is the
@@ -119,6 +118,9 @@ type run struct {
 	// shards use them without holding mu.
 	rec *replay.Recorder
 	rp  *replay.Replayer
+	// journal is the checkpoint journal; nil without Checkpoint. It has
+	// its own lock, so shards append to it without holding mu.
+	journal *trace.Journal
 }
 
 // Run executes the fleet campaign and returns the merged Result. The
@@ -134,6 +136,9 @@ func Run(members []Member, opts Options, sinks ...workload.Reducer) (workload.Re
 	}
 	if opts.Resume && opts.Checkpoint == "" {
 		return workload.Result{}, errors.New("fleet: Resume requires a Checkpoint path")
+	}
+	if opts.HaltAfter > 0 && opts.Checkpoint == "" {
+		return workload.Result{}, errors.New("fleet: HaltAfter requires a Checkpoint path")
 	}
 	if opts.RecordTo != "" {
 		switch {
@@ -180,25 +185,16 @@ func Run(members []Member, opts Options, sinks ...workload.Reducer) (workload.Re
 		r.rp = rp
 	}
 
-	if opts.Resume {
-		if err := r.restore(); err != nil {
+	if opts.Checkpoint != "" {
+		if err := r.openJournal(); err != nil {
 			return workload.Result{}, err
 		}
 	}
-	// Stream any days already satisfied by restored clusters (a fully
-	// restored fleet must still deliver the whole day stream), and write
-	// the opening checkpoint — an unwritable path must fail before any
-	// cluster burns wall clock on work it could never persist.
+	// Stream any days already satisfied by restored clusters: a fully
+	// restored fleet must still deliver the whole day stream.
 	r.mu.Lock()
 	r.advanceLocked()
-	if r.opts.Checkpoint != "" {
-		r.writeCheckpointLocked()
-	}
-	err := r.cpErr
 	r.mu.Unlock()
-	if err != nil {
-		return workload.Result{}, err
-	}
 
 	busy := shardBusyCounters(opts.Shards)
 	var wg sync.WaitGroup
@@ -213,6 +209,11 @@ func Run(members []Member, opts Options, sinks ...workload.Reducer) (workload.Re
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.journal != nil {
+		if err := r.journal.Close(); err != nil && r.cpErr == nil {
+			r.cpErr = fmt.Errorf("fleet: checkpoint: %w", err)
+		}
+	}
 	if r.cpErr != nil {
 		return workload.Result{}, r.cpErr
 	}
@@ -282,31 +283,57 @@ func (t *clusterTap) ReduceDay(d workload.Day) {
 	defer r.mu.Unlock()
 	r.parts[t.cluster].Days = append(r.parts[t.cluster].Days, d)
 	r.advanceLocked()
-	if r.opts.Checkpoint != "" && r.opts.CheckpointEachDay {
-		r.writeCheckpointLocked()
-	}
 }
 
-// Finish records the cluster's end-of-campaign aggregates, checkpoints
-// the new completed frontier, and arms the halt if HaltAfter is reached.
+// Finish records the cluster's end-of-campaign aggregates, appends the
+// completed cluster to the checkpoint journal, and arms the halt if
+// HaltAfter is reached.
 func (t *clusterTap) Finish(f workload.Final) {
 	r := t.r
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	p := &r.parts[t.cluster]
 	p.Config = f.Config
 	p.Records = f.Records
 	p.MaxGflops15min = f.MaxGflops15min
 	p.DroppedRecords = f.DroppedRecords
 	p.Coverage = f.Coverage
+	res := *p
+	r.mu.Unlock()
+
+	// The cluster's Result no longer changes, so it is encoded and
+	// appended without mu while other shards keep merging days. The
+	// cluster counts as done only once its segment is durable.
+	err := r.checkpoint(t.cluster, res)
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err != nil {
+		if r.cpErr == nil {
+			r.cpErr = err
+		}
+		r.halt = true // no point finishing clusters that can never persist
+		return
+	}
 	r.done[t.cluster] = true
 	r.completions++
-	if r.opts.Checkpoint != "" {
-		r.writeCheckpointLocked()
-	}
 	if r.opts.HaltAfter > 0 && r.completions >= r.opts.HaltAfter {
 		r.halt = true
 	}
+}
+
+// checkpoint appends a completed cluster to the journal, if there is
+// one.
+func (r *run) checkpoint(cluster int, res workload.Result) error {
+	if r.journal == nil {
+		return nil
+	}
+	w := telemetry.StartWatch()
+	if err := r.journal.Append(cluster, res); err != nil {
+		return fmt.Errorf("fleet: checkpoint: %w", err)
+	}
+	w.Record(telCheckpointNs)
+	telCheckpoints.Inc()
+	return nil
 }
 
 // advanceLocked streams every fleet day whose inputs are all present:
@@ -333,46 +360,36 @@ func (r *run) advanceLocked() {
 	}
 }
 
-// writeCheckpointLocked persists the completed-cluster frontier plus the
-// per-cluster day cursors. Caller holds mu; the write is atomic
-// (tmp+rename), so a kill at any moment leaves a loadable checkpoint. On
-// the first write failure checkpointing stops and Run reports the error
-// — silently running on without durability would defeat the point.
-func (r *run) writeCheckpointLocked() {
-	if r.cpErr != nil {
-		return
-	}
-	cp := trace.FleetCheckpoint{
-		Version:  trace.FleetCheckpointVersion,
-		FleetID:  r.id,
-		Clusters: len(r.members),
-	}
-	for c := range r.parts {
-		if r.done[c] {
-			cp.Done = append(cp.Done, trace.FleetClusterResult{Cluster: c, Result: r.parts[c]})
+// openJournal starts a fresh checkpoint journal, or on Resume reopens
+// the existing one and restores its completed clusters. Either way it
+// runs before any cluster starts, so an unwritable path or a bad
+// checkpoint fails before wall clock is spent on work that could never
+// persist.
+func (r *run) openJournal() error {
+	if !r.opts.Resume {
+		j, err := trace.CreateJournal(r.opts.Checkpoint, r.id, len(r.members))
+		if err != nil {
+			return fmt.Errorf("fleet: checkpoint: %w", err)
 		}
-		if n := len(r.parts[c].Days); n > 0 || r.done[c] {
-			cp.Cursors = append(cp.Cursors, trace.FleetCursor{Cluster: c, NextDay: n})
-		}
+		r.journal = j
+		return nil
 	}
-	w := telemetry.StartWatch()
-	if err := trace.WriteFleetCheckpointFile(r.opts.Checkpoint, cp); err != nil {
-		r.cpErr = fmt.Errorf("fleet: checkpoint: %w", err)
-		r.halt = true // no point finishing clusters that can never persist
-		return
-	}
-	w.Record(telCheckpointNs)
-	telCheckpoints.Inc()
-}
-
-// restore loads the checkpoint and marks its completed clusters done. It
-// runs before any shard goroutine exists, but takes the lock anyway so
-// the parts/done guard invariant holds everywhere they are written.
-func (r *run) restore() error {
-	cp, err := trace.ReadFleetCheckpointFile(r.opts.Checkpoint)
+	cp, j, err := trace.OpenJournal(r.opts.Checkpoint)
 	if err != nil {
 		return fmt.Errorf("fleet: resume: %w", err)
 	}
+	if err := r.restore(cp); err != nil {
+		j.Close()
+		return err
+	}
+	r.journal = j
+	return nil
+}
+
+// restore marks the checkpoint's completed clusters done. It runs before
+// any shard goroutine exists, but takes the lock anyway so the parts/done
+// guard invariant holds everywhere they are written.
+func (r *run) restore(cp trace.FleetCheckpoint) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if cp.FleetID != r.id {
@@ -384,6 +401,12 @@ func (r *run) restore() error {
 	for _, d := range cp.Done {
 		if got, want := len(d.Result.Days), r.members[d.Cluster].Config.Days; got != want {
 			return fmt.Errorf("fleet: resume: cluster %d checkpointed with %d days, config says %d", d.Cluster, got, want)
+		}
+		// Each member draws from its own seed, so a segment filed under
+		// the wrong cluster is caught here rather than merged.
+		if got, want := d.Result.Config, r.members[d.Cluster].Config; got.Seed != want.Seed || got.Nodes != want.Nodes {
+			return fmt.Errorf("fleet: resume: %w: cluster %d checkpointed with seed %d on %d nodes, fleet member has seed %d on %d",
+				trace.ErrCorrupt, d.Cluster, got.Seed, got.Nodes, want.Seed, want.Nodes)
 		}
 		r.parts[d.Cluster] = d.Result
 		r.done[d.Cluster] = true

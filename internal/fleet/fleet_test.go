@@ -4,14 +4,17 @@ package fleet
 // bit-identical for every shard count, bit-identical to the
 // single-campaign path for a one-cluster fleet (the golden campaign
 // hash, through serialization and back), and bit-identical across
-// kill/resume cycles at every day boundary. These tests run under -race
-// in CI's GOMAXPROCS matrix, so scheduler-order nondeterminism in the
-// shard fan-out is hunted, not assumed away.
+// kill/resume cycles wherever a kill cuts the checkpoint journal. These
+// tests run under -race in CI's GOMAXPROCS matrix, so scheduler-order
+// nondeterminism in the shard fan-out is hunted, not assumed away.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -139,46 +142,116 @@ func TestFleetShardCountInvariance(t *testing.T) {
 	}
 }
 
-// The kill/resume equivalence satellite: checkpoint at every day
-// boundary, halt mid-campaign (twice), resume, and require the merged
-// Result to hash identically to the uninterrupted run — for shard counts
-// 1 and 4.
+// The kill/resume equivalence: a kill can cut the checkpoint journal
+// anywhere past its header. Cut a complete journal at every record
+// boundary and at seeded random offsets, resume each cut once with
+// HaltAfter 1 (so segments land after the dropped tail), then to
+// completion, and require the merged Result to hash identically to the
+// uninterrupted run — for plain and gzip journals, at shard counts 1
+// and 4.
 func TestFleetKillResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster fleet simulation")
 	}
 	members := smallFleet(t, 4, 2, 1234)
-	for _, shards := range []int{1, 4} {
-		uninterrupted, err := Run(members, Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: uninterrupted: %v", shards, err)
-		}
-		want := resultHash(t, uninterrupted)
-
-		path := filepath.Join(t.TempDir(), "fleet.ckpt")
-		opts := Options{Shards: shards, Checkpoint: path, CheckpointEachDay: true, HaltAfter: 1}
-		if _, err := Run(members, opts); !errors.Is(err, ErrHalted) {
-			t.Fatalf("shards=%d: first kill: got %v, want ErrHalted", shards, err)
-		}
-		opts.Resume = true
-		// A second partial cycle, unless the first already completed every
-		// cluster (with 4 shards all clusters are in flight at the halt).
-		if cp, err := trace.ReadFleetCheckpointFile(path); err != nil {
-			t.Fatalf("shards=%d: checkpoint unreadable between runs: %v", shards, err)
-		} else if len(cp.Done) < len(members) {
-			if _, err := Run(members, opts); !errors.Is(err, ErrHalted) {
-				t.Fatalf("shards=%d: second kill: got %v, want ErrHalted", shards, err)
+	base, err := Run(members, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultHash(t, base)
+	rnd := rand.New(rand.NewSource(1234))
+	for _, name := range []string{"fleet.ckpt", "fleet.ckpt.gz"} {
+		for _, shards := range []int{1, 4} {
+			dir := t.TempDir()
+			full := filepath.Join(dir, name)
+			res, err := Run(members, Options{Shards: shards, Checkpoint: full})
+			if err != nil {
+				t.Fatalf("%s shards=%d: uninterrupted: %v", name, shards, err)
+			}
+			if h := resultHash(t, res); h != want {
+				t.Fatalf("%s shards=%d: checkpointed run hash %#x, run without a checkpoint %#x", name, shards, h, want)
+			}
+			data, cuts := recordEnds(t, full)
+			for i := 0; i < 2; i++ {
+				cuts = append(cuts, cuts[0]+rnd.Intn(len(data)-cuts[0]))
+			}
+			path := filepath.Join(dir, "cut-"+name)
+			for _, n := range cuts {
+				if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				before := doneIn(t, path)
+				opts := Options{Shards: shards, Checkpoint: path, Resume: true, HaltAfter: 1}
+				if _, err := Run(members, opts); err != nil && !errors.Is(err, ErrHalted) {
+					t.Fatalf("%s shards=%d cut at %d: halted resume: %v", name, shards, n, err)
+				}
+				if after := doneIn(t, path); after <= before && before < len(members) {
+					t.Fatalf("%s shards=%d cut at %d: %d clusters done before the halted resume, %d after", name, shards, n, before, after)
+				}
+				opts.HaltAfter = 0
+				res, err := Run(members, opts)
+				if err != nil {
+					t.Fatalf("%s shards=%d cut at %d: final resume: %v", name, shards, n, err)
+				}
+				if h := resultHash(t, res); h != want {
+					t.Fatalf("%s shards=%d cut at %d: resumed hash %#x, uninterrupted %#x — kill/resume changed bits", name, shards, n, h, want)
+				}
 			}
 		}
-		opts.HaltAfter = 0
-		res, err := Run(members, opts)
-		if err != nil {
-			t.Fatalf("shards=%d: final resume: %v", shards, err)
-		}
-		if h := resultHash(t, res); h != want {
-			t.Fatalf("shards=%d: resumed hash %#x, uninterrupted %#x — kill/resume changed bits", shards, h, want)
-		}
 	}
+}
+
+// doneIn is the number of completed clusters the journal at path holds.
+func doneIn(t *testing.T, path string) int {
+	t.Helper()
+	cp, err := trace.ReadFleetCheckpointFile(path)
+	if err != nil {
+		t.Fatalf("checkpoint unreadable: %v", err)
+	}
+	return len(cp.Done)
+}
+
+// recordEnds returns the complete journal at path and where each of its
+// records ends: the header, then each segment. It writes the journal
+// again through the trace API — the header, then one Append per segment
+// in order, noting the file's size after each — and requires the same
+// bytes back.
+func recordEnds(t *testing.T, path string) ([]byte, []int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := trace.ReadFleetCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	mark := func() {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int(fi.Size()))
+	}
+	j, err := trace.CreateJournal(path, cp.FleetID, cp.Clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark()
+	for _, d := range cp.Done {
+		if err := j.Append(d.Cluster, d.Result); err != nil {
+			t.Fatal(err)
+		}
+		mark()
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("journal written again through the trace API differs from the fleet's (err %v)", err)
+	}
+	return data, ends
 }
 
 // recorder captures the merged stream a sink receives.
@@ -235,6 +308,11 @@ func TestFleetRunRejectsBadOptions(t *testing.T) {
 	if _, err := Run(members, Options{Resume: true}); err == nil {
 		t.Fatal("Resume without Checkpoint accepted")
 	}
+	// HaltAfter reports a checkpointed, resumable campaign; without a
+	// checkpoint there would be nothing to resume.
+	if _, err := Run(members, Options{HaltAfter: 1}); err == nil || errors.Is(err, ErrHalted) {
+		t.Fatalf("HaltAfter without Checkpoint: got %v, want an options error", err)
+	}
 	if _, err := Run(members, Options{Resume: true, Checkpoint: filepath.Join(t.TempDir(), "absent.ckpt")}); err == nil {
 		t.Fatal("Resume from a missing checkpoint accepted")
 	}
@@ -269,12 +347,36 @@ func TestFleetResumeRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := Run(other, Options{Checkpoint: path, Resume: true}); err == nil {
 		t.Fatal("checkpoint from a different fleet accepted")
 	}
-	// Corrupt bytes must refuse cleanly too.
+	// A segment filed under another cluster's index, its frame CRCs
+	// intact, must be refused, not merged as that cluster.
+	misfiled := filepath.Join(dir, "misfiled.ckpt")
+	j, err := trace.CreateJournal(misfiled, cp.FleetID, cp.Clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(1-cp.Done[0].Cluster, cp.Done[0].Result); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(members, Options{Checkpoint: misfiled, Resume: true}); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("misfiled segment: got %v, want trace.ErrCorrupt", err)
+	}
+	// Corrupt bytes must refuse cleanly too, and so must a checkpoint in
+	// the version-1 format, which rewrote every completed cluster at once.
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(members, Options{Checkpoint: path, Resume: true}); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	if _, err := Run(members, Options{Checkpoint: path, Resume: true}); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("corrupt checkpoint: got %v, want trace.ErrCorrupt", err)
+	}
+	v1 := fmt.Sprintf(`{"version":1,"fleet_id":%d,"clusters":2,"done":null,"cursors":null}`+"\n", cp.FleetID)
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(members, Options{Checkpoint: path, Resume: true}); !errors.Is(err, trace.ErrVersion) {
+		t.Fatalf("version-1 checkpoint: got %v, want trace.ErrVersion", err)
 	}
 }
 

@@ -10,9 +10,15 @@ import (
 	"strings"
 )
 
-// fileWriter is the writer every file write goes through; tests replace
-// it with one that fails partway to prove no error is dropped.
-var fileWriter = func(f *os.File) io.Writer { return f }
+// syncWriter is a file's write side: its writes and its fsync.
+type syncWriter interface {
+	io.Writer
+	Sync() error
+}
+
+// fileWriter is what every file write and fsync goes through; tests
+// replace it with one that fails partway to prove no error is dropped.
+var fileWriter = func(f *os.File) syncWriter { return f }
 
 // writeFile writes path through encode, gzip-compressed when path ends in
 // ".gz". Every error on the way out is checked — the encode, the final
@@ -33,9 +39,10 @@ func writeFile(path string, atomic bool, encode func(io.Writer) error) error {
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	err = encodeTo(fileWriter(f), strings.HasSuffix(path, ".gz"), encode)
+	w := fileWriter(f)
+	err = encodeTo(w, strings.HasSuffix(path, ".gz"), encode)
 	if err == nil && atomic {
-		if err = f.Sync(); err != nil {
+		if err = w.Sync(); err != nil {
 			err = fmt.Errorf("trace: %w", err)
 		}
 	}

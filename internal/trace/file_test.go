@@ -7,38 +7,62 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/profile"
 )
 
-// errFlush is what failAfter returns once its budget is spent.
+// errFlush is what a faultyFile's writes and fsyncs fail with.
 var errFlush = errors.New("injected write failure")
 
-// failAfter passes the first n bytes through to w and fails every write
-// after that: with n = 10 a gzip stream gets its header out, and for a
-// small payload the first failing write is the final flush in Close.
-type failAfter struct {
-	w io.Writer
-	n int
+// faultyFile passes writes and fsyncs through to f until it is armed,
+// which it is from the start or, with armOnSync, from its first fsync
+// (past a journal's first append). Armed, it lets n more bytes through
+// and fails every write after them; with n < 0 it fails its next fsync
+// instead.
+type faultyFile struct {
+	f     *os.File
+	n     int
+	armed bool
 }
 
-func (f *failAfter) Write(p []byte) (int, error) {
-	if len(p) > f.n {
-		n, _ := f.w.Write(p[:f.n])
-		f.n = 0
+func (w *faultyFile) Write(p []byte) (int, error) {
+	if !w.armed || w.n < 0 {
+		return w.f.Write(p)
+	}
+	if len(p) > w.n {
+		n, _ := w.f.Write(p[:w.n])
+		w.n = 0
 		return n, errFlush
 	}
-	f.n -= len(p)
-	return f.w.Write(p)
+	w.n -= len(p)
+	return w.f.Write(p)
 }
 
-// failFlush routes every file write in the test through failAfter.
+func (w *faultyFile) Sync() error {
+	if w.armed && w.n < 0 {
+		return errFlush
+	}
+	w.armed = true
+	return w.f.Sync()
+}
+
+// injectFaults routes every file the package opens until t ends through
+// a faultyFile with budget n, and returns the error they fail with.
+func injectFaults(t testing.TB, n int, armOnSync bool) error {
+	orig := fileWriter
+	fileWriter = func(f *os.File) syncWriter { return &faultyFile{f: f, n: n, armed: !armOnSync} }
+	t.Cleanup(func() { fileWriter = orig })
+	return errFlush
+}
+
+// failFlush makes every file write in the test fail after 10 bytes: a
+// gzip stream gets its header out, and for a small payload the first
+// failing write is the final flush in Close.
 func failFlush(t *testing.T) {
 	t.Helper()
-	orig := fileWriter
-	fileWriter = func(f *os.File) io.Writer { return &failAfter{w: f, n: 10} }
-	t.Cleanup(func() { fileWriter = orig })
+	injectFaults(t, 10, false)
 }
 
 // TestWritersReportFullDevice: a write to a full device must fail, not
@@ -79,17 +103,19 @@ func TestWritersReportFailedFlush(t *testing.T) {
 	if err := WriteProfileCacheFile(filepath.Join(dir, "cache.json.gz"), profile.NewStore()); !errors.Is(err, errFlush) {
 		t.Errorf("WriteProfileCacheFile: got %v, want the flush error", err)
 	}
-	if err := WriteFleetCheckpointFile(filepath.Join(dir, "fleet.ckpt.gz"), sampleCheckpoint()); !errors.Is(err, errFlush) {
-		t.Errorf("WriteFleetCheckpointFile: got %v, want the flush error", err)
+	if _, err := CreateJournal(filepath.Join(dir, "fleet.ckpt.gz"), 1, 1); !errors.Is(err, errFlush) {
+		t.Errorf("CreateJournal: got %v, want the flush error", err)
 	}
 	if err := WriteRecordsCSVFile(filepath.Join(dir, "jobs.csv.gz"), sampleResult().Records); !errors.Is(err, errFlush) {
 		t.Errorf("WriteRecordsCSVFile: got %v, want the flush error", err)
 	}
 }
 
-// TestReadersRejectCorruptGzip: every format's file reader must read a
-// ".gz" stream through its trailer, so a flipped checksum byte or a cut
-// trailer fails the load instead of passing the payload off as intact.
+// TestReadersRejectCorruptGzip: every whole-file format's reader must
+// read a ".gz" stream through its trailer, so a flipped checksum byte or
+// a cut trailer fails the load instead of passing the payload off as
+// intact. (The checkpoint journal reads each record's member through its
+// trailer too: TestFleetCheckpointGzipMemberDamage.)
 func TestReadersRejectCorruptGzip(t *testing.T) {
 	formats := []struct {
 		name  string
@@ -99,9 +125,6 @@ func TestReadersRejectCorruptGzip(t *testing.T) {
 		{"database",
 			func(p string) error { return WriteFile(p, sampleResult()) },
 			func(p string) error { _, err := ReadFile(p); return err }},
-		{"checkpoint",
-			func(p string) error { return WriteFleetCheckpointFile(p, sampleCheckpoint()) },
-			func(p string) error { _, err := ReadFleetCheckpointFile(p); return err }},
 		{"profile cache",
 			func(p string) error { return WriteProfileCacheFile(p, profile.NewStore()) },
 			func(p string) error { return LoadProfileCacheFile(p, profile.NewStore()) }},
@@ -138,24 +161,73 @@ func TestReadersRejectCorruptGzip(t *testing.T) {
 	}
 }
 
-// TestFleetCheckpointFailedFlushKeepsPrevious: a checkpoint write whose
-// flush fails must leave the previous checkpoint byte-identical and no
-// temporary file behind — renaming the truncated file over it would lose
-// the last good resume point.
+// TestFleetCheckpointGzipMemberDamage: each journal record is a gzip
+// member read through its trailer. A flipped trailer CRC or a cut
+// trailer on the last member is a torn append, so the load drops that
+// segment; on the first of two members it is damage, and the load fails
+// — also when the damage makes the first member read as cut off by the
+// end of the file, since an intact member follows it.
+func TestFleetCheckpointGzipMemberDamage(t *testing.T) {
+	cp := sampleCheckpoint()
+	data := encodeCheckpoint(t, cp, true)
+	ends := recordEnds(t, cp, true)
+	path := filepath.Join(t.TempDir(), "fleet.ckpt.gz")
+	// Segment k's (from 1) member ends at ends[k], its trailer with the
+	// CRC-32 and then the length.
+	flipCRC := func(k int) []byte {
+		b := bytes.Clone(data)
+		b[ends[k]-8] ^= 0xff
+		return b
+	}
+	cutTrailer := func(k int) []byte {
+		return append(bytes.Clone(data[:ends[k]-4]), data[ends[k]:]...)
+	}
+	// FEXTRA set in a member's header flags makes the reader skip an
+	// extra field whose length it takes from the deflate stream, past the
+	// end of the file.
+	setExtra := func(k int) []byte {
+		b := bytes.Clone(data)
+		b[ends[k-1]+3] |= 1 << 2
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+		done int // segments loaded; -1 for a corrupt error
+	}{
+		{"last CRC flipped", flipCRC(2), 1},
+		{"last trailer cut", cutTrailer(2), 1},
+		{"first CRC flipped", flipCRC(1), -1},
+		{"first trailer cut", cutTrailer(1), -1},
+		{"first header flags damaged", setExtra(1), -1},
+	} {
+		if err := writeRaw(path, c.in); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFleetCheckpointFile(path)
+		switch {
+		case c.done < 0 && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%s: got %v, want ErrCorrupt", c.name, err)
+		case c.done >= 0 && (err != nil || !reflect.DeepEqual(got.Done, cp.Done[:c.done])):
+			t.Errorf("%s: loaded %d segments (err %v), want %d", c.name, len(got.Done), err, c.done)
+		}
+	}
+}
+
+// TestFleetCheckpointFailedFlushKeepsPrevious: a fresh journal whose
+// header flush fails must leave the previous checkpoint byte-identical
+// and no temporary file behind — renaming the truncated file over it
+// would lose the last good resume point.
 func TestFleetCheckpointFailedFlushKeepsPrevious(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.ckpt.gz")
-	if err := WriteFleetCheckpointFile(path, sampleCheckpoint()); err != nil {
-		t.Fatalf("first write: %v", err)
-	}
+	writeCheckpoint(t, path, sampleCheckpoint())
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := sampleCheckpoint()
-	next.Cursors = []FleetCursor{{Cluster: 2, NextDay: 5}}
 	failFlush(t)
-	if err := WriteFleetCheckpointFile(path, next); !errors.Is(err, errFlush) {
+	if _, err := CreateJournal(path, 42, 5); !errors.Is(err, errFlush) {
 		t.Fatalf("second write: got %v, want the flush error", err)
 	}
 	after, err := os.ReadFile(path)

@@ -41,11 +41,16 @@ func WriteProfileCache(w io.Writer, ms []profile.Measurement) error {
 	return nil
 }
 
-// ReadProfileCache deserialises measurements from r.
+// ReadProfileCache deserialises measurements from r, which must hold one
+// envelope and nothing after it but whitespace.
 func ReadProfileCache(r io.Reader) ([]profile.Measurement, error) {
 	var env profileCacheEnvelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&env); err != nil {
 		return nil, fmt.Errorf("trace: profile cache decode: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		return nil, errors.New("trace: profile cache decode: trailing data after envelope")
 	}
 	if env.Version != ProfileCacheVersion {
 		return nil, fmt.Errorf("trace: profile cache version %d, want %d", env.Version, ProfileCacheVersion)

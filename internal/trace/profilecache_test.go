@@ -73,3 +73,18 @@ func TestProfileCacheVersionCheck(t *testing.T) {
 		t.Fatalf("want version error, got %v", err)
 	}
 }
+
+// Data after the envelope is refused, as the database and checkpoint
+// readers refuse it; trailing whitespace is not data.
+func TestProfileCacheRejectsTrailingData(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := writeRaw(path, []byte(`{"version":1,"measurements":[]}garbage`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadProfileCacheFile(path, profile.NewStore()); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("want trailing-data error, got %v", err)
+	}
+	if _, err := ReadProfileCache(strings.NewReader("{\"version\":1,\"measurements\":[]}\n \n")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+}
