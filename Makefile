@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt-check lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke perfbench-selftest ci
+.PHONY: build test race vet fmt-check fma-check lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke perfbench-selftest ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,22 @@ vet:
 fmt-check:
 	@files=$$(gofmt -l $$(find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*')); \
 	if [ -n "$$files" ]; then echo "gofmt -l flags:"; echo "$$files"; exit 1; fi
+
+# Cross-architecture bit-identity guard. The Go spec lets a compiler fuse
+# x*y + z into one rounding. amd64 never does, but arm64, ppc64le, s390x,
+# riscv64 and loong64 do, and a fused campaign misses every pinned hash.
+# An explicit float64(x*y) conversion must round, which forbids the
+# fusion. This builds the module for those five arches with -S (a warm
+# build cache replays the listing) and fails on any fused multiply-add in
+# the listing's instruction column. It needs no emulator.
+FMA_ARCHES := arm64 ppc64le s390x riscv64 loong64
+FMA_CHECK_FILE := $(if $(TMPDIR),$(TMPDIR),/tmp)/hpm-fma-check.S
+fma-check:
+	@fail=0; for arch in $(FMA_ARCHES); do \
+		GOARCH=$$arch $(GO) build -gcflags='repro/...=-S' ./... > $(FMA_CHECK_FILE) 2>&1 || { cat $(FMA_CHECK_FILE); rm -f $(FMA_CHECK_FILE); exit 1; }; \
+		awk -F'\t' -v arch=$$arch '$$3 ~ /^FN?M(ADD|SUB)[DS]?$$/ { print arch ": " $$2 " " $$3; n++ } \
+			END { printf "%s: %d fused multiply-add instruction(s)\n", arch, n; exit n > 0 }' $(FMA_CHECK_FILE) || fail=1; \
+	done; rm -f $(FMA_CHECK_FILE); exit $$fail
 
 # Baseline-gated: only findings absent from the committed (empty) baseline
 # fail, so the gate is a ratchet — accepted debt is written down, anything
@@ -86,9 +102,10 @@ fleet-smoke:
 	rm -f $(FLEET_SMOKE_FILES)
 
 # Differential smoke of trace record/replay through the real CLI: record
-# a 2-day campaign while exporting its database, replay the trace at a
-# different worker count, and require the exported databases to be
-# byte-identical. cmp is the whole proof — any divergence fails.
+# a 2-day campaign while exporting its database, replay the trace with
+# the profiles measured at another width (-workers 3), and require the
+# exported databases to be byte-identical. cmp is the whole proof — any
+# divergence fails.
 REPLAY_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)
 replay-smoke:
 	rm -f $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
@@ -131,4 +148,4 @@ perfbench-selftest:
 	cd perfbench && $(GO) test .
 
 # Every step of the CI workflow's main job, in its order.
-ci: build vet fmt-check test race lint lint-fixtures spec-validate bench-smoke bench-gate fleet-smoke replay-smoke soak-smoke perfbench-selftest
+ci: build vet fmt-check fma-check test race lint lint-fixtures spec-validate bench-smoke bench-gate fleet-smoke replay-smoke soak-smoke perfbench-selftest

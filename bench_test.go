@@ -45,15 +45,14 @@ func campaign(b *testing.B) workload.Result {
 		campStd = profile.MeasureStandardWorkers(1, runtime.NumCPU())
 		cfg := workload.DefaultConfig(1)
 		cfg.Days = 40
-		cfg.Workers = runtime.NumCPU()
 		campRes = workload.NewCampaign(cfg, workload.DefaultMix(campStd)).Run()
 	})
 	return campRes
 }
 
-// benchWorkerCounts is the engine-parallelism axis for the staged-engine
-// benches: serial plus full-parallel, collapsed to one point on a 1-CPU
-// machine.
+// benchWorkerCounts is the parallelism axis for the fleet-shard and
+// profile-measurement benches: serial plus full-parallel, collapsed to
+// one point on a 1-CPU machine.
 func benchWorkerCounts() []int {
 	counts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -316,23 +315,19 @@ func BenchmarkCPUSimulation(b *testing.B) {
 
 // benchCampaignDay is the shared body of the campaign-day benches: one
 // simulated day of the full campaign (job generation, PBS scheduling,
-// profile extrapolation, daily reduction) at serial and full-parallel
-// engine settings; the Result is bit-identical at every setting, so the
-// sub-benchmarks differ only in wall-clock.
+// profile extrapolation, daily reduction). The sub-benchmark name is the
+// one BENCH_campaign.json and BENCH_gates.json key on.
 func benchCampaignDay(b *testing.B, withTelemetry bool) {
 	campaign(b) // ensure profiles measured
 	telemetry.SetEnabled(withTelemetry)
 	defer telemetry.SetEnabled(true)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := workload.DefaultConfig(uint64(i) + 2)
-				cfg.Days = 1
-				cfg.Workers = workers
-				workload.NewCampaign(cfg, workload.DefaultMix(campStd)).Run()
-			}
-		})
-	}
+	b.Run("workers=1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := workload.DefaultConfig(uint64(i) + 2)
+			cfg.Days = 1
+			workload.NewCampaign(cfg, workload.DefaultMix(campStd)).Run()
+		}
+	})
 }
 
 // BenchmarkCampaignDay runs with telemetry disabled: the baseline half of
@@ -342,8 +337,8 @@ func BenchmarkCampaignDay(b *testing.B) {
 }
 
 // BenchmarkCampaignDayTelemetry is the identical workload with hpmtel
-// observing it; the contract is <2% over BenchmarkCampaignDay. The two
-// benches share one body so the comparison can never drift.
+// observing it; BENCH_gates.json fails it beyond 1.5× BenchmarkCampaignDay.
+// The two benches share one body so the comparison can never drift.
 func BenchmarkCampaignDayTelemetry(b *testing.B) {
 	benchCampaignDay(b, true)
 }
@@ -363,7 +358,6 @@ func BenchmarkFleetCampaign(b *testing.B) {
 				for c := range members {
 					cfg := workload.DefaultConfig(workload.ClusterSeed(uint64(i)+2, c))
 					cfg.Days = 1
-					cfg.Workers = 1
 					members[c] = fleet.Member{Config: cfg, Mix: workload.DefaultMix(campStd)}
 				}
 				if _, err := fleet.Run(members, fleet.Options{Shards: shards}); err != nil {

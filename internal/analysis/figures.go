@@ -302,8 +302,8 @@ func ComputeUserReport(res workload.Result) UserReport {
 			users[r.User] = a
 		}
 		a.jobs++
-		a.ns += float64(r.NodesUsed) * r.WallSeconds
-		a.mfW += r.PerNodeRates().MflopsAll * r.WallSeconds
+		a.ns += float64(float64(r.NodesUsed) * r.WallSeconds)
+		a.mfW += float64(r.PerNodeRates().MflopsAll * r.WallSeconds)
 		a.wallSum += r.WallSeconds
 		if ratio := r.SystemUserFXURatio(); ratio > a.worst {
 			a.worst = ratio

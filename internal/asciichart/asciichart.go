@@ -93,7 +93,7 @@ func (c *Canvas) String() string {
 	for row := 0; row < c.h; row++ {
 		// y label every few rows.
 		frac := float64(c.h-1-row) / float64(c.h-1)
-		yv := c.y0 + frac*(c.y1-c.y0)
+		yv := c.y0 + float64(frac*(c.y1-c.y0))
 		if row%4 == 0 || row == c.h-1 {
 			fmt.Fprintf(&b, "%9.2f |", yv)
 		} else {
@@ -143,7 +143,7 @@ func LineChart(title string, w, h int, series ...Series) string {
 	if hi == lo {
 		hi = lo + 1
 	}
-	pad := (hi - lo) * 0.05
+	pad := float64((hi - lo) * 0.05)
 	cv := NewCanvas(w, h, 0, float64(n-1), math.Min(lo, 0), hi+pad)
 	xs := make([]float64, n)
 	for i := range xs {
@@ -204,7 +204,7 @@ func Scatter(title string, w, h int, xs, ys []float64, glyph rune) string {
 	if yhi == ylo {
 		yhi = ylo + 1
 	}
-	cv := NewCanvas(w, h, xlo, xhi+(xhi-xlo)*0.02, math.Min(ylo, 0), yhi+(yhi-ylo)*0.05)
+	cv := NewCanvas(w, h, xlo, xhi+float64((xhi-xlo)*0.02), math.Min(ylo, 0), yhi+float64((yhi-ylo)*0.05))
 	for i := range xs {
 		cv.Plot(xs[i], ys[i], glyph)
 	}

@@ -52,12 +52,12 @@ func CampaignFlags(fs *flag.FlagSet, prog string) *Campaign {
 	fs.IntVar(&c.Days, "days", 0, "campaign length in days; 0 inherits the spec's campaign block (270 without a spec)")
 	fs.IntVar(&c.Nodes, "nodes", 0, "cluster size; 0 inherits the spec's campaign block (144 without a spec)")
 	fs.Uint64Var(&c.Seed, "seed", 1, "campaign random seed")
-	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "engine worker goroutines (1 = serial; results are seed-identical at any setting)")
+	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "profile-measurement width: kernel micro-simulations in flight (0 = GOMAXPROCS; results are seed-identical at any setting)")
 	fs.StringVar(&c.Spec, "spec", "", "workload spec: a committed preset name (see -list-presets) or a JSON file path")
 	fs.BoolVar(&c.ListPresets, "list-presets", false, "list the committed workload-spec presets and exit")
 	fs.BoolVar(&c.Faults, "faults", false, "inject the default collection-fault mix (crashes, cron misses, daemon restarts) and report coverage; a spec's own faults block takes precedence")
 	fs.IntVar(&c.Clusters, "clusters", 0, "fleet size: run this many copies of the campaign as a multi-cluster fleet; 0 defers to the spec's fleet block (or a single cluster)")
-	fs.IntVar(&c.Shards, "shards", 1, "fleet shards: cluster-level workers, each owning its own engine pool (results are identical at any setting)")
+	fs.IntVar(&c.Shards, "shards", 1, "fleet shards: clusters simulated in parallel, the campaign's only parallel axis (results are identical at any setting)")
 	fs.StringVar(&c.Checkpoint, "checkpoint", "", "fleet checkpoint file (.json or .json.gz), written as clusters complete")
 	fs.BoolVar(&c.Resume, "resume", false, "resume the fleet campaign recorded in -checkpoint")
 	fs.IntVar(&c.HaltAfter, "halt-after", 0, "stop the fleet after this many cluster completions (smoke/testing; requires -checkpoint)")
@@ -246,8 +246,8 @@ func (c *Campaign) Run(members []fleet.Member, sinks ...workload.Reducer) (workl
 	if s := members[0].Config.Scenario; s != "" {
 		scenario = fmt.Sprintf(" [scenario %s]", s)
 	}
-	fmt.Printf("%s a %d-day campaign on %d nodes in %d cluster(s) (seed %d, %d shard(s), %d workers per cluster)%s...\n",
-		verb, days, nodes, len(members), c.Seed, c.Shards, members[0].Config.Workers, scenario)
+	fmt.Printf("%s a %d-day campaign on %d nodes in %d cluster(s) (seed %d, %d shard(s))%s...\n",
+		verb, days, nodes, len(members), c.Seed, c.Shards, scenario)
 	res, err := fleet.Run(members, fleet.Options{
 		Shards:     c.Shards,
 		Checkpoint: c.Checkpoint,

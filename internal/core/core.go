@@ -33,15 +33,15 @@ import (
 
 // Config selects the campaign scale. Zero Days and Nodes inherit the
 // campaign definition: the spec's campaign block, or the paper's 270
-// days on 144 nodes without a spec. Zero Workers means one engine worker
-// per CPU.
+// days on 144 nodes without a spec.
 type Config struct {
 	Days  int
 	Nodes int
 	Seed  uint64
-	// Workers is the parallelism for profile measurement and the campaign
-	// engine; zero picks GOMAXPROCS, 1 forces the serial engine. Results
-	// are bit-identical for every value.
+	// Workers is the profile-measurement width: at most this many kernel
+	// micro-simulations in flight; zero picks GOMAXPROCS. Campaigns run
+	// serially per cluster whatever its value, and results are
+	// bit-identical for every value.
 	Workers int
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -51,7 +50,6 @@ func runCampaign(t *testing.T, s *System) workload.Result {
 func TestDefaultsFillIn(t *testing.T) {
 	want := workload.DefaultConfig(3)
 	want.Days = 20
-	want.Workers = runtime.GOMAXPROCS(0)
 	if got := fleetOfOne(t, system(t)).Config; got != want {
 		t.Fatalf("config:\n got %+v\nwant %+v (the paper's 144 nodes, 20 explicit days)", got, want)
 	}

@@ -44,7 +44,6 @@ func (s *System) FleetMembers(clusters int) ([]fleet.Member, error) {
 			c.Nodes = s.cfg.Nodes
 		}
 		c.Seed = workload.ClusterSeed(s.cfg.Seed, i)
-		c.Workers = s.cfg.Workers
 		switch {
 		case c.Days < 1:
 			return nil, fmt.Errorf("core: cluster %d has %d days, want at least 1", i, c.Days)

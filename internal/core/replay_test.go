@@ -58,33 +58,41 @@ func TestFleetMembersRecordReplayGolden(t *testing.T) {
 	}
 }
 
-// traceFixtures are the committed traces under testdata, each recorded
-// by spsim with -shards 1 (so the record order is fixed) and its
-// Result hash read back from the same run's -o database.
-var traceFixtures = []struct {
+// traceFixture is a committed trace under testdata, recorded by spsim
+// with -shards 1 (so the record order is fixed), and its Result hash
+// read back from the same run's -o database.
+type traceFixture struct {
 	file   string
 	cmd    string // the recording command line, minus -record
-	spec   string // preset name; "" is the built-in paper mix
+	spec   string // preset name or spec file; "" is the built-in paper mix
+	days   int    // -days; 0 inherits the spec's per-cluster days
 	faults bool   // -faults
 	fleet  int    // -clusters
 	hash   uint64
-}{
-	{"paper-1996.trace.gz", "spsim -seed 7 -days 2", "", false, 0, goldenCampaignHash},
-	{"paper-1996-faulted.trace.gz", "spsim -seed 7 -days 2 -faults", "", true, 0, 0x776731b266941640},
-	{"bursty-2cluster.trace.gz", "spsim -seed 7 -days 2 -spec bursty -clusters 2 -shards 1", "bursty", false, 2, 0x906e3ce3917a40ef},
+}
+
+var traceFixtures = []traceFixture{
+	{"paper-1996.trace.gz", "spsim -seed 7 -days 2", "", 2, false, 0, goldenCampaignHash},
+	{"paper-1996-faulted.trace.gz", "spsim -seed 7 -days 2 -faults", "", 2, true, 0, 0x776731b266941640},
+	{"bursty-2cluster.trace.gz", "spsim -seed 7 -days 2 -spec bursty -clusters 2 -shards 1", "bursty", 2, false, 2, 0x906e3ce3917a40ef},
+	// A heterogeneous fleet: the spec's fleet block gives its three
+	// clusters 2, 1 and 3 days on 144, 128 and 160 nodes at different
+	// demand levels.
+	{"paper-1996-hetero.trace.gz", "spsim -seed 7 -spec internal/core/testdata/paper-1996-hetero.json -shards 1",
+		"testdata/paper-1996-hetero.json", 0, false, 0, 0x1475bed65e7774cf},
 }
 
 // fixtureMembers rebuilds a fixture's definition the way the CLIs do
 // (internal/cliperf): the system from the seed, days and spec, its
 // fleet members, and the default fault mix on clusters without one.
-func fixtureMembers(t *testing.T, specName string, withFaults bool, clusters int, seed uint64, workers int) []fleet.Member {
+func fixtureMembers(t *testing.T, fx traceFixture, seed uint64, workers int) []fleet.Member {
 	t.Helper()
-	cfg := Config{Days: 2, Seed: seed, Workers: workers}
+	cfg := Config{Days: fx.days, Seed: seed, Workers: workers}
 	var s *System
-	if specName == "" {
+	if fx.spec == "" {
 		s = New(cfg)
 	} else {
-		sp, err := spec.Load(specName)
+		sp, err := spec.Load(fx.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,12 +100,12 @@ func fixtureMembers(t *testing.T, specName string, withFaults bool, clusters int
 			t.Fatal(err)
 		}
 	}
-	members, err := s.FleetMembers(clusters)
+	members, err := s.FleetMembers(fx.fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range members {
-		if withFaults && members[i].Config.Faults == nil {
+		if fx.faults && members[i].Config.Faults == nil {
 			f := faults.Default()
 			members[i].Config.Faults = &f
 		}
@@ -113,7 +121,7 @@ func TestTraceFixturesReplay(t *testing.T) {
 		t.Run(fx.file, func(t *testing.T) {
 			path := filepath.Join("testdata", fx.file)
 			for _, workers := range []int{1, 3} {
-				members := fixtureMembers(t, fx.spec, fx.faults, fx.fleet, 7, workers)
+				members := fixtureMembers(t, fx, 7, workers)
 				for _, shards := range []int{1, 2} {
 					res, err := fleet.Run(members, fleet.Options{Shards: shards, ReplayFrom: path})
 					if err != nil {
@@ -125,7 +133,7 @@ func TestTraceFixturesReplay(t *testing.T) {
 					}
 				}
 			}
-			other := fixtureMembers(t, fx.spec, fx.faults, fx.fleet, 8, 1)
+			other := fixtureMembers(t, fx, 8, 1)
 			if _, err := fleet.Run(other, fleet.Options{ReplayFrom: path}); !errors.Is(err, replay.ErrMismatch) {
 				t.Fatalf("replay at seed 8: %v, want ErrMismatch", err)
 			}

@@ -1,24 +1,26 @@
-// Package fleet shards a multi-cluster campaign across parallel workers
-// and folds the per-cluster reductions through a canonical-order merge
+// Package fleet shards a multi-cluster campaign across goroutines and
+// folds the per-cluster reductions through a canonical-order merge
 // tree into one fleet-wide Result — the paper's per-day cluster
 // reduction applied to a whole fleet of SP2-class machines.
 //
 // The layering sits above the staged engine: each fleet member is an
 // ordinary (Config, Mix) campaign whose seed comes from
 // workload.ClusterSeed, each shard owns a stripe of clusters (shard s
-// runs clusters s, s+Shards, ...) and runs them sequentially through its
-// own engine worker pool, and a frontier merger streams merged fleet
-// days to the caller's reducers the moment every cluster has closed that
-// day — analysis consumes a fleet online exactly as it consumes one
+// runs clusters s, s+Shards, ...) and runs them one after another, each
+// on the serial campaign engine, and a frontier merger streams merged
+// fleet days to the caller's reducers the moment every cluster has closed
+// that day — analysis consumes a fleet online exactly as it consumes one
 // machine.
 //
 // The determinism contract carries over unchanged: a cluster's Result is
 // a pure function of (Config, Mix, seed), the merge folds clusters in
 // ascending index (never in completion order), and therefore the merged
-// Result is bit-identical for every shard count, every worker count, and
-// across a kill/resume cycle. Checkpoints (internal/trace) record the
-// completed-cluster frontier; anything in flight at a kill is simply
-// re-run from its own day 0 on resume and lands on the same bits.
+// Result is bit-identical for every shard count, every
+// profile-measurement width, and across a kill/resume cycle. Shards are
+// a campaign's only parallel axis: one tick of a 144-node cluster is too
+// little work to split across goroutines. Checkpoints (internal/trace)
+// record the completed-cluster frontier; anything in flight at a kill is
+// simply re-run from its own day 0 on resume and lands on the same bits.
 package fleet
 
 import (
@@ -84,9 +86,9 @@ type run struct {
 	members []Member
 	opts    Options
 	// id binds checkpoints to the fleet definition: the trace
-	// fingerprint of the members. Execution knobs (Workers, the spec
-	// label) are excluded from Config's JSON form, so a resume may change
-	// shard or worker counts without invalidating the checkpoint.
+	// fingerprint of the members. The spec label is excluded from
+	// Config's JSON form, and the shard count is not part of a member,
+	// so a resume may change either without invalidating the checkpoint.
 	id      uint64
 	maxDays int
 

@@ -54,12 +54,11 @@ func std(t *testing.T) profile.Standard {
 }
 
 // goldenMember is the golden recipe as a fleet of one: standard profiles
-// at seed 7, 2-day default campaign, the given engine worker count.
+// at seed 7 measured at the given width, 2-day default campaign.
 func goldenMember(workers int) Member {
 	std := profile.MeasureStandardWorkers(7, workers)
 	cfg := workload.DefaultConfig(7)
 	cfg.Days = 2
-	cfg.Workers = workers
 	return Member{Config: cfg, Mix: workload.DefaultMix(std)}
 }
 
@@ -385,10 +384,9 @@ func TestFleetResumeRejectsForeignCheckpoint(t *testing.T) {
 func TestFleetIDIgnoresExecutionKnobs(t *testing.T) {
 	a := smallFleet(t, 2, 1, 9)
 	b := smallFleet(t, 2, 1, 9)
-	b[0].Config.Workers = 16
 	b[1].Config.Scenario = "renamed"
 	if replay.Fingerprint(a) != replay.Fingerprint(b) {
-		t.Fatal("fleet fingerprint depends on Workers/Scenario — resume would break across shard/worker changes")
+		t.Fatal("fleet fingerprint depends on Scenario — resume would break across a spec rename")
 	}
 	c := smallFleet(t, 2, 1, 10)
 	if replay.Fingerprint(a) == replay.Fingerprint(c) {

@@ -174,5 +174,5 @@ func (r Rates) DelayPerMemRef(cacheMissPenalty, tlbMissPenalty float64) float64 
 	if r.MipsFXU == 0 {
 		return 0
 	}
-	return (r.DCacheMissM*cacheMissPenalty + r.TLBMissM*tlbMissPenalty) / r.MipsFXU
+	return (float64(r.DCacheMissM*cacheMissPenalty) + float64(r.TLBMissM*tlbMissPenalty)) / r.MipsFXU
 }

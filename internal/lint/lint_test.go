@@ -233,13 +233,13 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestEnginePackagesClean pins the staged engine's concurrency contract
-// from the linter's side: the workload engine (worker pool included) and
-// the parallel profile measurement must be clean under exactly the two
-// analyzers that police parallel simulator code — guarded, so every
-// shared pool counter carries an honoured "guarded by mu" annotation,
-// and nondeterminism, so no engine path can read the wall clock or the
-// global math/rand stream. TestRepoIsClean subsumes this, but this test
-// keeps failing loudly even if someone adds a suppression there.
+// from the linter's side: the workload engine and the parallel profile
+// measurement must be clean under exactly the two analyzers that police
+// parallel simulator code — guarded, so every shared counter carries an
+// honoured "guarded by mu" annotation, and nondeterminism, so no engine
+// path can read the wall clock or the global math/rand stream.
+// TestRepoIsClean subsumes this, but this test keeps failing loudly even
+// if someone adds a suppression there.
 func TestEnginePackagesClean(t *testing.T) {
 	root, _, err := moduleRoot(".")
 	if err != nil {

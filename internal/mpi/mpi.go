@@ -163,7 +163,7 @@ func (r *Rank) Send(dst int, bytes uint64) {
 	r.sent += bytes
 	r.msgs++
 	// The sender pays a software injection overhead.
-	r.now += r.world.net.Config().LatencySeconds / 2
+	r.now += float64(r.world.net.Config().LatencySeconds / 2)
 }
 
 // Recv blocks until a message from src is available and returns its size.
@@ -252,7 +252,7 @@ func (r *Rank) Allreduce(bytes uint64) {
 		return
 	}
 	steps := 2 * math.Ceil(math.Log2(float64(r.world.size)))
-	r.now += steps * r.world.net.TransferTime(bytes)
+	r.now += float64(steps * r.world.net.TransferTime(bytes))
 }
 
 // Run starts one goroutine per rank executing body and waits for all to

@@ -129,7 +129,7 @@ func (n *Node) AddIOWait(seconds float64) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cpu.AddIOWait(uint64(seconds * units.ClockHz))
+	n.cpu.AddIOWait(uint64(float64(seconds * units.ClockHz)))
 	n.acc.Sample()
 }
 

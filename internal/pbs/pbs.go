@@ -330,7 +330,7 @@ func (s *Server) checkpoint(j *Job) {
 		// Image the job's memory to local disk: memory-to-device DMA.
 		nd.DiskIO(0, j.Spec.MemoryPerNodeBytes)
 	}
-	s.busyNodeSeconds += float64(len(j.nodes)) * (s.clock.Now() - j.StartAt).Seconds()
+	s.busyNodeSeconds += float64(float64(len(j.nodes)) * (s.clock.Now() - j.StartAt).Seconds())
 	s.freeNodes(j)
 	j.nodes = nil
 	j.baseline = nil
@@ -433,7 +433,7 @@ func (s *Server) finish(j *Job) {
 	}
 	j.State = Completed
 	delete(s.running, j.ID)
-	s.busyNodeSeconds += float64(len(j.nodes)) * (s.clock.Now() - j.StartAt).Seconds()
+	s.busyNodeSeconds += float64(float64(len(j.nodes)) * (s.clock.Now() - j.StartAt).Seconds())
 	s.freeNodes(j)
 
 	if rec.WallSeconds >= s.cfg.MinRecordWall {
@@ -495,7 +495,7 @@ func (s *Server) BusyNodeSeconds() float64 {
 	sort.Ints(ids)
 	for _, id := range ids {
 		j := s.running[id]
-		total += float64(len(j.nodes)) * (now - j.StartAt).Seconds()
+		total += float64(float64(len(j.nodes)) * (now - j.StartAt).Seconds())
 	}
 	return total
 }

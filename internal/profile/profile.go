@@ -74,11 +74,11 @@ func Blend(a Profile, fracA float64, b Profile) Profile {
 	out.Name = a.Name + "+" + b.Name
 	for m := 0; m < 2; m++ {
 		for ev := range out.EventsPerSec[m] {
-			out.EventsPerSec[m][ev] = fracA*a.EventsPerSec[m][ev] + (1-fracA)*b.EventsPerSec[m][ev]
+			out.EventsPerSec[m][ev] = float64(fracA*a.EventsPerSec[m][ev]) + float64((1-fracA)*b.EventsPerSec[m][ev])
 		}
 	}
-	out.Mflops = fracA*a.Mflops + (1-fracA)*b.Mflops
-	out.TrueDivPerSec = fracA*a.TrueDivPerSec + (1-fracA)*b.TrueDivPerSec
+	out.Mflops = float64(fracA*a.Mflops) + float64((1-fracA)*b.Mflops)
+	out.TrueDivPerSec = float64(fracA*a.TrueDivPerSec) + float64((1-fracA)*b.TrueDivPerSec)
 	return out
 }
 
@@ -159,7 +159,7 @@ func (p *Profile) StepFor(seconds float64, s *Step) {
 	draw := uint8(0)
 	for mode := hpm.Mode(0); mode < 2; mode++ {
 		for ev := hpm.Event(0); ev < hpm.NumEvents; ev++ {
-			x := p.EventsPerSec[mode][ev] * seconds
+			x := float64(p.EventsPerSec[mode][ev] * seconds)
 			n := uint64(x)
 			if t := roundUpThreshold(x - float64(n)); n > 0 || t > 0 {
 				s.live[s.n] = stepCounter{whole: n, thresh: t, mode: mode, ev: ev, draw: draw}

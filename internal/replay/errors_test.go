@@ -164,9 +164,10 @@ func TestValidateMismatches(t *testing.T) {
 	t.Run("workers and scenario are execution knobs", func(t *testing.T) {
 		rp := decode(t)
 		c := cfg
-		c.Workers = 16
 		c.Scenario = "renamed-spec"
-		if err := rp.Validate([]replay.Def{{Config: c, Mix: mix}}); err != nil {
+		// The profiles measured at another width, the store bypassed.
+		wide := workload.DefaultMix(profile.MeasureStandardStore(nil, 7, 4))
+		if err := rp.Validate([]replay.Def{{Config: c, Mix: wide}}); err != nil {
 			t.Fatalf("execution knobs invalidated the trace: %v", err)
 		}
 	})

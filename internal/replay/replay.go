@@ -14,17 +14,18 @@
 //
 // Replay is bit-identical to live generation: the campaign Result is a
 // pure function of the plan stream, so simulating recorded plans at any
-// Workers count — or through the fleet path at any shard count — lands
-// on the same bits as the live run that recorded them. That makes a
-// committed trace a differential-testing oracle: any engine optimization
-// can be checked against it, not just against the single golden seed.
+// shard count lands on the same bits as the live run that recorded them.
+// That makes a committed trace a differential-testing oracle: any engine
+// optimization can be checked against it, not just against the single
+// golden seed.
 //
 // A trace is bound to the campaign definition that wrote it by a config
 // fingerprint (the fnv-64a hash of every cluster's serialized
 // (Config, Mix), which also binds fleet checkpoints). Replaying a trace
 // against a different definition is a hard ErrMismatch, never a silently
-// wrong answer. Execution knobs (Workers, shard count, Scenario label)
-// are excluded from Config's JSON form, so a replay may use any of them.
+// wrong answer. The Scenario label is excluded from Config's JSON form
+// and the shard count is not part of a definition, so a replay may use
+// any of them.
 package replay
 
 import (
@@ -102,10 +103,10 @@ type Def struct {
 
 // Fingerprint hashes a campaign definition: fnv-64a over each cluster's
 // serialized (Config, Mix). It binds both traces and fleet checkpoints
-// to the definition that wrote them. Workers and Scenario carry
-// `json:"-"`, so execution knobs never affect the fingerprint. It panics
-// only if the definition is unserializable, which a constructible
-// Config/Mix never is.
+// to the definition that wrote them. Scenario carries `json:"-"`, so
+// renaming a spec never affects the fingerprint. It panics only if the
+// definition is unserializable, which a constructible Config/Mix never
+// is.
 func Fingerprint(defs []Def) uint64 {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)

@@ -2,11 +2,12 @@ package replay_test
 
 // The differential proof layer: record a campaign, replay the trace,
 // and demand full-Result hash equality with the live run — across
-// workers {1, 8}, across shards {1, 4}, and for faulted campaigns whose
-// resolved fault plans must round-trip through the trace. Every
-// campaign runs through fleet.Run, a single campaign as a fleet of one. The golden campaign hash pins the
-// replay path to the same constant every other execution knob is pinned
-// to: a trace-fed simulation is an execution knob, never a model change.
+// profile-measurement widths {1, 8}, across shards {1, 4}, and for
+// faulted campaigns whose resolved fault plans must round-trip through
+// the trace. Every campaign runs through fleet.Run, a single campaign as
+// a fleet of one. The golden campaign hash pins the replay path to the
+// same constant every other execution knob is pinned to: a trace-fed
+// simulation is an execution knob, never a model change.
 //
 // This file lives in an external test package so it can drive
 // internal/fleet, which imports internal/replay.
@@ -38,14 +39,13 @@ func resultHash(t *testing.T, r workload.Result) uint64 {
 	return h.Sum64()
 }
 
-// goldenDef is the golden recipe: standard profiles at seed 7, 2-day
-// default campaign, the given engine worker count. Profile measurement
+// goldenDef is the golden recipe: standard profiles at seed 7 measured
+// at the given width, 2-day default campaign. Profile measurement
 // memoizes through the default store, so repeated calls are cheap.
 func goldenDef(workers int) (workload.Config, workload.Mix) {
 	std := profile.MeasureStandardWorkers(7, workers)
 	cfg := workload.DefaultConfig(7)
 	cfg.Days = 2
-	cfg.Workers = workers
 	return cfg, workload.DefaultMix(std)
 }
 
@@ -53,28 +53,25 @@ func TestGoldenRecordReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaign is a full 2-day simulation per case")
 	}
-	for _, recWorkers := range []int{1, 8} {
-		cfg, mix := goldenDef(recWorkers)
+	for _, workers := range []int{1, 8} {
+		cfg, mix := goldenDef(workers)
+		members := []fleet.Member{{Config: cfg, Mix: mix}}
 		path := filepath.Join(t.TempDir(), "golden.trace.gz")
-		live, err := fleet.Run([]fleet.Member{{Config: cfg, Mix: mix}}, fleet.Options{RecordTo: path})
+		live, err := fleet.Run(members, fleet.Options{RecordTo: path})
 		if err != nil {
-			t.Fatalf("workers=%d: record: %v", recWorkers, err)
+			t.Fatalf("workers=%d: record: %v", workers, err)
 		}
 		if h := resultHash(t, live); h != goldenCampaignHash {
 			t.Fatalf("workers=%d: recorded live run hash %#x, want golden %#x — the recording tap changed observable behaviour",
-				recWorkers, h, goldenCampaignHash)
+				workers, h, goldenCampaignHash)
 		}
-		for _, repWorkers := range []int{1, 8} {
-			rcfg := cfg
-			rcfg.Workers = repWorkers
-			res, err := fleet.Run([]fleet.Member{{Config: rcfg, Mix: mix}}, fleet.Options{ReplayFrom: path})
-			if err != nil {
-				t.Fatalf("workers=%d->%d: replay: %v", recWorkers, repWorkers, err)
-			}
-			if h := resultHash(t, res); h != goldenCampaignHash {
-				t.Fatalf("workers=%d->%d: replayed hash %#x, want golden %#x — replay is not bit-identical to live generation",
-					recWorkers, repWorkers, h, goldenCampaignHash)
-			}
+		res, err := fleet.Run(members, fleet.Options{ReplayFrom: path})
+		if err != nil {
+			t.Fatalf("workers=%d: replay: %v", workers, err)
+		}
+		if h := resultHash(t, res); h != goldenCampaignHash {
+			t.Fatalf("workers=%d: replayed hash %#x, want golden %#x — replay is not bit-identical to live generation",
+				workers, h, goldenCampaignHash)
 		}
 	}
 }
@@ -147,17 +144,12 @@ func TestFaultedRecordReplay(t *testing.T) {
 	if !rp.Header().Faulted {
 		t.Fatal("trace of a faulted campaign is not marked Faulted")
 	}
-	for _, workers := range []int{1, 8} {
-		rcfg := cfg
-		rcfg.Workers = workers
-		res, err := fleet.Run([]fleet.Member{{Config: rcfg, Mix: mix}}, fleet.Options{ReplayFrom: path})
-		if err != nil {
-			t.Fatalf("workers=%d: replay: %v", workers, err)
-		}
-		if h := resultHash(t, res); h != want {
-			t.Fatalf("workers=%d: replayed faulted hash %#x, live %#x — fault plans did not survive the trace",
-				workers, h, want)
-		}
+	res, err := fleet.Run([]fleet.Member{{Config: cfg, Mix: mix}}, fleet.Options{ReplayFrom: path})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if h := resultHash(t, res); h != want {
+		t.Fatalf("replayed faulted hash %#x, live %#x — fault plans did not survive the trace", h, want)
 	}
 }
 

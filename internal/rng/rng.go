@@ -107,7 +107,7 @@ func (r *Source) Uint64n(n uint64) uint64 {
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // IntRange returns a uniform int in [lo, hi]. It panics if hi < lo.
@@ -131,7 +131,7 @@ func (r *Source) Normal(mean, stddev float64) float64 {
 	}
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return mean + float64(stddev*z)
 }
 
 // NormalClamped returns a Normal draw clamped to [lo, hi].

@@ -38,11 +38,11 @@ func (t Time) Day() int { return int(float64(t) / 86400) }
 func (t Time) String() string {
 	s := float64(t)
 	d := int(s / 86400)
-	s -= float64(d) * 86400
+	s -= float64(float64(d) * 86400)
 	h := int(s / 3600)
-	s -= float64(h) * 3600
+	s -= float64(float64(h) * 3600)
 	m := int(s / 60)
-	s -= float64(m) * 60
+	s -= float64(float64(m) * 60)
 	return fmt.Sprintf("%dd %02d:%02d:%05.2f", d, h, m, s)
 }
 

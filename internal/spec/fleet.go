@@ -3,7 +3,7 @@ package spec
 // Fleet resolution: expanding a spec's fleet block into one campaign
 // config per cluster. Like Resolve, this is pure wiring — every cluster
 // starts as the resolved campaign block, overrides specialize
-// individual members, and Seed/Workers stay zero for the caller
+// individual members, and Seed stays zero for the caller
 // (internal/core derives per-cluster seeds with workload.ClusterSeed).
 
 import (

@@ -99,8 +99,8 @@ func TestResolveFleetAppliesOverrides(t *testing.T) {
 		t.Fatalf("cluster 2 should inherit unoverridden fields: %+v", cfgs[2])
 	}
 	for i, c := range cfgs {
-		if c.Seed != 0 || c.Workers != 0 {
-			t.Fatalf("cluster %d: Seed/Workers are the caller's, must resolve zero: %+v", i, c)
+		if c.Seed != 0 {
+			t.Fatalf("cluster %d: Seed is the caller's, must resolve zero: %+v", i, c)
 		}
 	}
 }

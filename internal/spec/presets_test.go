@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/profile"
 	"repro/internal/workload"
 )
@@ -43,10 +44,13 @@ var presetOracleHashes = map[string]uint64{
 
 // TestPresetsRoundTrip runs every committed preset end-to-end: load,
 // validate, resolve against real measured profiles, then a 1-day
-// campaign at workers 1 and 8 — which must hash identically, and equal
-// the preset's pinned oracle. This is the worker-count-invariance
-// guarantee extended to every scenario axis the spec layer adds (bursty
-// arrivals, lifecycle warps, kernel mixes, embedded faults).
+// campaign that must equal the preset's pinned oracle. A metamorphic leg
+// runs the preset again with zero-rate faults: with the coverage report
+// and the fault config stripped, it must hash like the preset run with
+// no fault layer at all — for the presets without a faults block, the
+// oracle run itself. That is the golden zero-fault guarantee extended to
+// every scenario axis the spec layer adds (bursty arrivals, lifecycle
+// warps, kernel mixes, embedded faults).
 func TestPresetsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preset round-trips run real campaigns")
@@ -85,26 +89,32 @@ func TestPresetsRoundTrip(t *testing.T) {
 			cfg.Days = 1 // a day is enough to exercise every draw path
 			cfg.Seed = 7
 
-			var hashes [2]uint64
-			for i, workers := range []int{1, 8} {
+			run := func(f *faults.Config) workload.Result {
 				c := cfg
-				c.Workers = workers
+				c.Faults = f
 				res := workload.NewCampaign(c, mix).Run()
 				if len(res.Days) != 1 {
-					t.Fatalf("workers=%d: got %d days, want 1", workers, len(res.Days))
+					t.Fatalf("got %d days, want 1", len(res.Days))
 				}
 				if res.Days[0].Gflops() <= 0 {
-					t.Fatalf("workers=%d: campaign advanced no floating-point counters", workers)
+					t.Fatal("campaign advanced no floating-point counters")
 				}
-				hashes[i] = resultHash(t, res)
+				return res
 			}
-			if hashes[0] != hashes[1] {
-				t.Errorf("preset %s: workers=1 hash %#x != workers=8 hash %#x", name, hashes[0], hashes[1])
-			}
+			oracle := resultHash(t, run(cfg.Faults))
 			if want, ok := presetOracleHashes[name]; !ok {
-				t.Errorf("preset %s has no pinned oracle hash (workers=1 gives %#x)", name, hashes[0])
-			} else if hashes[0] != want {
-				t.Errorf("preset %s: hash %#x, want oracle %#x — the campaign changed observable behaviour", name, hashes[0], want)
+				t.Errorf("preset %s has no pinned oracle hash (it gives %#x)", name, oracle)
+			} else if oracle != want {
+				t.Errorf("preset %s: hash %#x, want oracle %#x — the campaign changed observable behaviour", name, oracle, want)
+			}
+			unfaulted := oracle
+			if cfg.Faults != nil {
+				unfaulted = resultHash(t, run(nil))
+			}
+			zero := run(&faults.Config{})
+			zero.Coverage, zero.Config.Faults = nil, nil
+			if h := resultHash(t, zero); h != unfaulted {
+				t.Errorf("preset %s: zero-rate faults hash %#x, no faults %#x — the fault layer perturbed the clean path", name, h, unfaulted)
 			}
 		})
 	}
@@ -129,7 +139,6 @@ func TestPaper1996GoldenHash(t *testing.T) {
 	}
 	cfg.Seed = 7
 	cfg.Days = 2
-	cfg.Workers = 8
 	res := workload.NewCampaign(cfg, mix).Run()
 	if h := resultHash(t, res); h != goldenCampaignHash {
 		t.Fatalf("spec-resolved paper-1996 campaign hash %#x, want golden %#x — the spec pipeline changed observable behaviour", h, goldenCampaignHash)

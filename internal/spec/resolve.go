@@ -22,9 +22,9 @@ import (
 )
 
 // Resolve compiles the spec against a measured profile set. The returned
-// Config carries the spec's campaign block with Seed and Workers left
-// zero — they are execution parameters, owned by the caller, not the
-// scenario — and Scenario set to the spec name. The returned Mix is
+// Config carries the spec's campaign block with Seed left zero — it is
+// an execution parameter, owned by the caller, not the scenario — and
+// Scenario set to the spec name. The returned Mix is
 // ready for workload.NewGenerator.
 //
 //hpmlint:pure a spec must resolve identically on every worker of a campaign

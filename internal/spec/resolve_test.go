@@ -109,8 +109,8 @@ func TestResolveDefaults(t *testing.T) {
 	if cfg.MinRecordWall != 600 {
 		t.Errorf("MinRecordWall = %v, want default 600", cfg.MinRecordWall)
 	}
-	if cfg.Seed != 0 || cfg.Workers != 0 {
-		t.Errorf("Seed/Workers must be left to the caller, got %d/%d", cfg.Seed, cfg.Workers)
+	if cfg.Seed != 0 {
+		t.Errorf("Seed must be left to the caller, got %d", cfg.Seed)
 	}
 	if mix.WeekendFactor != 1 {
 		t.Errorf("WeekendFactor = %v, want default 1", mix.WeekendFactor)

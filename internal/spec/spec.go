@@ -99,8 +99,9 @@ type Campaign struct {
 	Days int `json:"days"`
 	// Nodes is the cluster size (144 for the paper).
 	Nodes int `json:"nodes"`
-	// SamplePeriodSeconds is the counter sampling cadence; 0 defaults to
-	// the 15-minute cron period (900).
+	// SamplePeriodSeconds is the counter sampling cadence, a whole number
+	// of seconds dividing a day; 0 defaults to the 15-minute cron period
+	// (900).
 	SamplePeriodSeconds float64 `json:"sample_period_seconds,omitempty"`
 	// MeanUtil and UtilSigma shape the daily demand distribution.
 	MeanUtil  float64 `json:"mean_util"`

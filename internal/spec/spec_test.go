@@ -74,6 +74,33 @@ func TestValidateFieldPaths(t *testing.T) {
 	}
 }
 
+// TestValidateSamplePeriod: a campaign ticks a whole number of times a
+// day, so the period must be 0 (the 900 s default) or a whole number of
+// seconds dividing 86400; anything else would panic at run time or run
+// short days.
+func TestValidateSamplePeriod(t *testing.T) {
+	for _, tc := range []struct {
+		period float64
+		ok     bool
+	}{
+		{0, true}, {900, true}, {3600, true}, {86400, true},
+		{1000, false}, {900.5, false}, {0.5, false}, {-900, false}, {172800, false},
+	} {
+		s := minimalSpec()
+		s.Campaign.SamplePeriodSeconds = tc.period
+		err := s.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("period %v: %v", tc.period, err)
+			}
+			continue
+		}
+		if ve := mustInvalid(t, s); !hasPathError(ve, "campaign.sample_period_seconds", "divid") {
+			t.Errorf("period %v: missing campaign.sample_period_seconds error in:\n%v", tc.period, ve)
+		}
+	}
+}
+
 func TestValidateClientErrors(t *testing.T) {
 	share := 0.3
 	cv := 0.5

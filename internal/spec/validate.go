@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/workload"
 )
 
 // FieldError is one validation problem, anchored to the JSON path of the
@@ -105,8 +107,8 @@ func (v *validator) campaign(c *Campaign) {
 	if c.Nodes <= 0 {
 		v.errorf("campaign.nodes", "must be > 0")
 	}
-	if c.SamplePeriodSeconds < 0 {
-		v.errorf("campaign.sample_period_seconds", "must be >= 0")
+	if p := c.SamplePeriodSeconds; p != 0 && !workload.ValidSamplePeriod(p) {
+		v.errorf("campaign.sample_period_seconds", "must be 0 or a whole number of seconds dividing 86400")
 	}
 	if c.MeanUtil <= 0 || c.MeanUtil > 1 {
 		v.errorf("campaign.mean_util", "must be in (0, 1]")

@@ -33,7 +33,7 @@ func StdDev(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -95,14 +95,14 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Median returns the 50th percentile of xs.
@@ -141,7 +141,7 @@ func WeightedMean(xs, ws []float64) float64 {
 	}
 	num, den := 0.0, 0.0
 	for i, x := range xs {
-		num += x * ws[i]
+		num += float64(x * ws[i])
 		den += ws[i]
 	}
 	//hpmlint:ignore floatcompare exact zero guards the division; weights of exactly zero carry no information
@@ -216,7 +216,7 @@ func (h *Histogram) Observe(x float64) { h.Add(x, 1) }
 
 // BinCenter returns the midpoint value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
+	return h.Lo + float64((float64(i)+0.5)*h.width)
 }
 
 // Total returns the accumulated weight over all bins.
@@ -274,9 +274,9 @@ func Correlation(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	//hpmlint:ignore floatcompare degenerate input (all values equal) sums to exactly 0.0
 	if sxx == 0 || syy == 0 {
@@ -298,13 +298,13 @@ func LinearFit(xs, ys []float64) (slope, intercept float64) {
 	var sxy, sxx float64
 	for i := range xs {
 		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
+		sxy += float64(dx * (ys[i] - my))
+		sxx += float64(dx * dx)
 	}
 	//hpmlint:ignore floatcompare degenerate input (all xs equal) sums to exactly 0.0
 	if sxx == 0 {
 		return 0, my
 	}
 	slope = sxy / sxx
-	return slope, my - slope*mx
+	return slope, my - float64(slope*mx)
 }

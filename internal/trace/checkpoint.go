@@ -34,8 +34,8 @@ package trace
 //
 // A checkpoint is bound to the fleet that wrote it by FleetID — resuming
 // against a different fleet definition is an error, not a silent wrong
-// answer. Execution knobs (Workers, shard count) are excluded from
-// Config's JSON form, so a resume may use any shard or worker count.
+// answer. The shard count is not part of the fleet definition, so a
+// resume may use any shard count.
 
 import (
 	"bytes"

@@ -94,7 +94,7 @@ func FromSeconds(s float64) Cycles {
 	if s < 0 {
 		return 0
 	}
-	return Cycles(s * ClockHz)
+	return Cycles(float64(s * ClockHz))
 }
 
 // Flops counts floating-point operations (an fma counts as two).

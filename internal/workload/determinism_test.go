@@ -2,16 +2,18 @@ package workload
 
 // Determinism contract of the staged engine: the full Result — every
 // counter of every day, every record, every float — is bit-identical
-// across repeated same-seed runs and across any Workers count. These
-// tests run under -race in CI with GOMAXPROCS 1 and 4, so both the data
-// races and the scheduler-order nondeterminism a parallel engine could
-// introduce are machine-checked.
+// across repeated same-seed runs and across any profile-measurement
+// width. These tests run under -race in CI with GOMAXPROCS 1 and 4, so
+// both the data races and the scheduler-order nondeterminism the parallel
+// measurement could introduce are machine-checked.
 
 import (
 	"encoding/json"
 	"hash/fnv"
 	"reflect"
 	"testing"
+
+	"repro/internal/profile"
 )
 
 // resultHash hashes the complete Result, floats included: Go marshals a
@@ -26,12 +28,14 @@ func resultHash(t *testing.T, r Result) uint64 {
 	return h.Sum64()
 }
 
+// runWorkers runs a default campaign on standard profiles measured with
+// at most workers kernel simulations in flight. The store is bypassed, so
+// every call really measures at its width.
 func runWorkers(t *testing.T, days int, seed uint64, workers int) Result {
 	t.Helper()
 	cfg := DefaultConfig(seed)
 	cfg.Days = days
-	cfg.Workers = workers
-	return NewCampaign(cfg, DefaultMix(std(t))).Run()
+	return NewCampaign(cfg, DefaultMix(profile.MeasureStandardStore(nil, 1, workers))).Run()
 }
 
 func TestResultIdenticalAcrossWorkerCounts(t *testing.T) {
@@ -49,10 +53,10 @@ func TestResultIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestResultIdenticalAcrossRepeatedRuns(t *testing.T) {
-	a := runWorkers(t, 4, 99, 8)
-	b := runWorkers(t, 4, 99, 8)
+	a := shortCampaign(t, 4, 99)
+	b := shortCampaign(t, 4, 99)
 	if ha, hb := resultHash(t, a), resultHash(t, b); ha != hb {
-		t.Fatalf("same-seed parallel runs differ: %x vs %x", ha, hb)
+		t.Fatalf("same-seed runs differ: %x vs %x", ha, hb)
 	}
 }
 
@@ -101,29 +105,23 @@ func TestGeneratedJobStreamIDsUnique(t *testing.T) {
 	}
 }
 
-func TestPoolEngineDoesTheWork(t *testing.T) {
+// TestEngineDoesTheWork: the engine counters perfbench divides by count
+// the work a campaign does — every node sampled once per tick, and job
+// runs advanced.
+func TestEngineDoesTheWork(t *testing.T) {
 	cfg := DefaultConfig(13)
 	cfg.Days = 2
-	cfg.Workers = 4
-	c := NewCampaign(cfg, DefaultMix(std(t)))
-	var rr ResultReducer
-	// Run through RunInto so the engine the campaign builds is observable
-	// afterwards via the retained Campaign.
-	c.RunInto(&rr)
-	pool, ok := c.eng.(*poolEngine)
-	if !ok {
-		t.Fatalf("Workers=4 campaign used %T, want *poolEngine", c.eng)
-	}
-	advanced, sampled := pool.Stats()
+	advanced0, sampled0 := telAdvanced.Value(), telSampled.Value()
+	res := NewCampaign(cfg, DefaultMix(std(t))).Run()
 	ticks := uint64(cfg.Days) * uint64(86400/int(cfg.SamplePeriodSeconds))
-	if wantSampled := ticks * uint64(cfg.Nodes); sampled != wantSampled {
-		t.Errorf("pool sampled %d node counters, want %d", sampled, wantSampled)
+	if sampled, want := telSampled.Value()-sampled0, ticks*uint64(cfg.Nodes); sampled != want {
+		t.Errorf("workload.engine.nodes_sampled rose by %d, want %d", sampled, want)
 	}
-	if advanced == 0 {
-		t.Error("pool advanced no job runs")
+	if telAdvanced.Value() == advanced0 {
+		t.Error("workload.engine.jobs_advanced did not rise")
 	}
-	if len(rr.Result().Days) != cfg.Days {
-		t.Errorf("reduced %d days, want %d", len(rr.Result().Days), cfg.Days)
+	if len(res.Days) != cfg.Days {
+		t.Errorf("reduced %d days, want %d", len(res.Days), cfg.Days)
 	}
 }
 

@@ -113,8 +113,8 @@ func TestPropertySampleNodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSerialTickAllocFree: one serial AdvanceRuns + SampleNodes — the
-// whole per-tick engine step, extrapolation and sweep — allocates nothing.
+// TestSerialTickAllocFree: one advanceRuns + sampleNodes — the whole
+// per-tick engine step, extrapolation and sweep — allocates nothing.
 // hotalloc proves the same statically from the //hpmlint:hotpath roots.
 func TestSerialTickAllocFree(t *testing.T) {
 	nodes := make([]*node.Node, 8)
@@ -139,12 +139,11 @@ func TestSerialTickAllocFree(t *testing.T) {
 		t.Fatalf("%d jobs started, want 2", len(runs))
 	}
 	prev := make([]hpm.Counts64, len(nodes))
-	var eng serialEngine
 	at := simclock.Time(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		at += 900
-		eng.AdvanceRuns(runs, at)
-		eng.SampleNodes(nodes, prev, nil)
+		advanceRuns(runs, at)
+		sampleNodes(nodes, prev, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("serial tick allocates %.1f times per call", allocs)

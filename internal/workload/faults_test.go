@@ -2,7 +2,7 @@ package workload
 
 // Tests for the fault-injected collection path: the golden-equivalence
 // guarantee (a zero-rate fault config perturbs nothing), determinism of a
-// faulted campaign across worker counts, the coverage ledger invariant
+// faulted campaign across repeated runs, the coverage ledger invariant
 // over a real campaign, and the duplicates-are-free property.
 
 import (
@@ -20,10 +20,9 @@ func goldenStd() profile.Standard {
 }
 
 // faultedCfg builds a short default campaign with the given fault mix.
-func faultedCfg(seed uint64, days, workers int, f faults.Config) Config {
+func faultedCfg(seed uint64, days int, f faults.Config) Config {
 	cfg := DefaultConfig(seed)
 	cfg.Days = days
-	cfg.Workers = workers
 	cfg.Faults = &f
 	return cfg
 }
@@ -36,7 +35,7 @@ func TestZeroFaultConfigMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaign is a full 2-day simulation")
 	}
-	cfg := faultedCfg(7, 2, 1, faults.Config{})
+	cfg := faultedCfg(7, 2, faults.Config{})
 	res := NewCampaign(cfg, DefaultMix(goldenStd())).Run()
 	if res.Coverage == nil {
 		t.Fatal("faulted campaign produced no coverage report")
@@ -57,26 +56,22 @@ func TestZeroFaultConfigMatchesGolden(t *testing.T) {
 }
 
 // TestFaultedCampaignDeterminism: with the default fault mix live, the
-// entire Result — days, records, coverage report — is identical at any
-// worker count and across repeated runs.
+// entire Result — days, records, coverage report — is identical across
+// repeated runs.
 func TestFaultedCampaignDeterminism(t *testing.T) {
-	run := func(workers int) Result {
-		cfg := faultedCfg(11, 3, workers, faults.Default())
-		return NewCampaign(cfg, DefaultMix(std(t))).Run()
+	run := func() Result {
+		return NewCampaign(faultedCfg(11, 3, faults.Default()), DefaultMix(std(t))).Run()
 	}
-	serial := run(1)
-	if serial.Coverage == nil || serial.Coverage.Total.Expected == 0 {
+	first := run()
+	if first.Coverage == nil || first.Coverage.Total.Expected == 0 {
 		t.Fatal("faulted campaign produced no coverage")
 	}
-	h1 := resultHash(t, serial)
-	for _, workers := range []int{8, 1} {
-		again := run(workers)
-		if h := resultHash(t, again); h != h1 {
-			t.Fatalf("workers=%d faulted result hash %#x differs from serial %#x", workers, h, h1)
-		}
-		if !reflect.DeepEqual(serial.Coverage, again.Coverage) {
-			t.Fatalf("workers=%d coverage report differs from serial", workers)
-		}
+	again := run()
+	if h, h1 := resultHash(t, again), resultHash(t, first); h != h1 {
+		t.Fatalf("faulted result hash %#x differs from the first run's %#x", h, h1)
+	}
+	if !reflect.DeepEqual(first.Coverage, again.Coverage) {
+		t.Fatal("coverage report differs from the first run's")
 	}
 }
 
@@ -87,25 +82,18 @@ func TestFaultedCampaignDeterminism(t *testing.T) {
 // the second committed oracle for the sampling engine.
 const faultedOracleHash uint64 = 0x886c37816d5fd4f0
 
-// faultedOracle runs the pinned faulted recipe: the default fault mix at
-// seed 11 over a 20-day default campaign.
-func faultedOracle(t *testing.T, workers int) Result {
-	cfg := faultedCfg(11, 20, workers, faults.Default())
-	return NewCampaign(cfg, DefaultMix(std(t))).Run()
-}
-
+// TestFaultedOracleHash runs the pinned faulted recipe: the default
+// fault mix at seed 11 over a 20-day default campaign.
 func TestFaultedOracleHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faulted oracle is a full 20-day simulation")
 	}
-	for _, workers := range []int{1, 4} {
-		res := faultedOracle(t, workers)
-		if cov := res.Coverage.Total; cov.Duplicates != 782 || cov.Rebased != 25 {
-			t.Fatalf("workers=%d: oracle coverage %d duplicates, %d rebases; want 782 and 25", workers, cov.Duplicates, cov.Rebased)
-		}
-		if h := resultHash(t, res); h != faultedOracleHash {
-			t.Fatalf("workers=%d faulted oracle hash %#x, want %#x — the sampling path changed observable behaviour", workers, h, faultedOracleHash)
-		}
+	res := NewCampaign(faultedCfg(11, 20, faults.Default()), DefaultMix(std(t))).Run()
+	if cov := res.Coverage.Total; cov.Duplicates != 782 || cov.Rebased != 25 {
+		t.Fatalf("oracle coverage %d duplicates, %d rebases; want 782 and 25", cov.Duplicates, cov.Rebased)
+	}
+	if h := resultHash(t, res); h != faultedOracleHash {
+		t.Fatalf("faulted oracle hash %#x, want %#x — the sampling path changed observable behaviour", h, faultedOracleHash)
 	}
 }
 
@@ -125,7 +113,7 @@ func TestPropertyCampaignCoverageLedger(t *testing.T) {
 		EpilogueDelayMeanSeconds: 400,
 	}
 	for _, seed := range []uint64{1, 2, 3} {
-		cfg := faultedCfg(seed, 2, 4, mix)
+		cfg := faultedCfg(seed, 2, mix)
 		res := NewCampaign(cfg, DefaultMix(std(t))).Run()
 		rep := res.Coverage
 		if rep == nil {
@@ -171,7 +159,7 @@ func TestPropertyDuplicatesAreFree(t *testing.T) {
 		return NewCampaign(cfg, DefaultMix(std(t))).Run()
 	}()
 	duped := func() Result {
-		cfg := faultedCfg(17, 2, 1, faults.Config{DupProbPerSample: 1})
+		cfg := faultedCfg(17, 2, faults.Config{DupProbPerSample: 1})
 		return NewCampaign(cfg, DefaultMix(std(t))).Run()
 	}()
 	if duped.Coverage == nil || duped.Coverage.Total.Duplicates != duped.Coverage.Total.Expected {
@@ -192,7 +180,7 @@ func TestPropertyDuplicatesAreFree(t *testing.T) {
 // mix on a short campaign actually exercises every fault mode the plan
 // schedules, and the lossy modes reduce coverage below 100%.
 func TestFaultedCampaignLosesSamples(t *testing.T) {
-	cfg := faultedCfg(23, 3, 2, faults.Default())
+	cfg := faultedCfg(23, 3, faults.Default())
 	res := NewCampaign(cfg, DefaultMix(std(t))).Run()
 	cov := res.Coverage.Total
 	if cov.Dropped == 0 {

@@ -151,7 +151,7 @@ func (g *mixGenerator) classFor(rnd *rng.Source, nodes int, pagingDay bool, day 
 		if pagingDay {
 			share = cl.PagingDayShare
 		}
-		cum += share * cl.Lifecycle.shareFactor(day)
+		cum += float64(share * cl.Lifecycle.shareFactor(day))
 		if x < cum {
 			return i
 		}
@@ -217,7 +217,7 @@ func (g *mixGenerator) GenerateDay(day int) DayPlan {
 				StreamID:           uid,
 			},
 		})
-		demand -= float64(nodes) * wall
+		demand -= float64(float64(nodes) * wall)
 	}
 	return plan
 }

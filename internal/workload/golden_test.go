@@ -20,13 +20,12 @@ import (
 const goldenCampaignHash uint64 = 0x88ee6c33b8c0bd5c
 
 // goldenCampaign runs the pinned recipe: standard profiles at seed 7
-// through the given store (nil = memoization bypassed), then a 2-day
-// default campaign at the given engine worker count.
+// through the given store (nil = memoization bypassed), measured at the
+// given width, then a 2-day default campaign.
 func goldenCampaign(store *profile.Store, workers int) Result {
 	std := profile.MeasureStandardStore(store, 7, workers)
 	cfg := DefaultConfig(7)
 	cfg.Days = 2
-	cfg.Workers = workers
 	return NewCampaign(cfg, DefaultMix(std)).Run()
 }
 
@@ -46,7 +45,7 @@ func TestGoldenCampaignHash(t *testing.T) {
 		{"store=on/workers=8/telemetry=on", true, 8, true},
 		// The hpmtel contract: observation must never perturb the
 		// simulation, so the hash holds with telemetry off too — at both
-		// engine settings, against the same golden constant.
+		// measurement widths, against the same golden constant.
 		{"store=on/workers=1/telemetry=off", true, 1, false},
 		{"store=on/workers=8/telemetry=off", true, 8, false},
 	}

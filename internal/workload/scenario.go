@@ -136,7 +136,7 @@ func (l Lifecycle) warp(p float64) float64 {
 		return p
 	}
 	o := p - 0.5
-	o = (1-l.Amplitude)*o + 2*l.Amplitude*o*math.Abs(o)
+	o = float64((1-l.Amplitude)*o) + float64(2*l.Amplitude*o*math.Abs(o))
 	p = l.Peak + o
 	p -= math.Floor(p) // wrap into [0, 1)
 	return p

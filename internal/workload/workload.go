@@ -17,7 +17,7 @@
 // The campaign is a staged engine:
 //
 //	generate  (Generator, generate.go)  (Config, day) -> DayPlan, pure
-//	simulate  (Engine, engine.go)       advance job runs + node counters
+//	simulate  (engine.go)               advance job runs + node counters
 //	reduce    (Reducer, reduce.go)      fold per-day deltas into a Result
 //
 // Jobs run under the pbs scheduler on dedicated nodes; while a job runs,
@@ -26,11 +26,13 @@
 // stream to per-day cluster deltas — the same reduction the 15-minute
 // RS2HPM cron sampling performed. Every random draw comes from a splitmix
 // substream keyed by (seed, day) or (seed, job UID), so the reduction is
-// bit-identical for any Workers count and any execution order.
+// bit-identical for any execution order, and a fleet's clusters can run
+// on any number of shards (internal/fleet).
 package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/faults"
 	"repro/internal/hpm"
@@ -81,8 +83,8 @@ func (c Class) jobProfile(jitter float64) profile.Profile {
 	// volume (halo exchanges are symmetric); sends are dma_read
 	// (memory-to-device), receives dma_write. Disk output adds reads.
 	inJobFlopsPerSec := p.Mflops * 1e6
-	msgTransfersPerSec := c.MsgBytesPerFlop * inJobFlopsPerSec / 64
-	diskTransfersPerSec := c.DiskOutBytesPerSec / 64
+	msgTransfersPerSec := float64(c.MsgBytesPerFlop * inJobFlopsPerSec / 64)
+	diskTransfersPerSec := float64(c.DiskOutBytesPerSec / 64)
 	p = p.WithDMA(msgTransfersPerSec+diskTransfersPerSec, msgTransfersPerSec)
 	p.Name = c.Name
 	return p
@@ -291,17 +293,18 @@ type Config struct {
 	Days  int // 270 for the paper's nine months
 	Nodes int // 144
 	Seed  uint64
-	// Workers is the engine's parallelism: <= 1 runs the serial reference
-	// engine, larger values a worker pool of that many goroutines. The
-	// reduction is bit-identical for every value — Workers trades wall
-	// clock only — so it is an execution knob, not part of the result:
-	// it is excluded from the serialized campaign database.
+	// Workers is read by nothing: the campaign tick is serial, and the
+	// profile-measurement width is profile.MeasureStandardWorkers'
+	// argument. It is excluded from the serialized campaign database.
+	//
+	// Deprecated: kept only because the repository benchmark (perfbench)
+	// still assigns it; setting it has no effect.
 	Workers int `json:"-"`
 	// Scenario names the workload spec this configuration was resolved
-	// from (internal/spec); empty for the built-in paper mix. Like
-	// Workers it is metadata, not model input: the serialized campaign
-	// database records the resolved numbers, not the label, so renaming
-	// a spec can never change a result hash.
+	// from (internal/spec); empty for the built-in paper mix. It is
+	// metadata, not model input: the serialized campaign database records
+	// the resolved numbers, not the label, so renaming a spec can never
+	// change a result hash.
 	Scenario string `json:"-"`
 	// SamplePeriodSeconds is the counter sampling cadence (900 = 15 min).
 	SamplePeriodSeconds float64
@@ -320,8 +323,7 @@ type Config struct {
 	Faults *faults.Config `json:",omitempty"`
 }
 
-// DefaultConfig returns the paper's campaign parameters (serial engine;
-// set Workers for the parallel one).
+// DefaultConfig returns the paper's campaign parameters.
 func DefaultConfig(seed uint64) Config {
 	return Config{
 		Days:                270,
@@ -333,6 +335,13 @@ func DefaultConfig(seed uint64) Config {
 		PagingDayProb:       0.20,
 		MinRecordWall:       600,
 	}
+}
+
+// ValidSamplePeriod reports whether seconds is a usable sampling cadence:
+// a whole number of seconds that divides a day, so that every day closes
+// on a tick.
+func ValidSamplePeriod(seconds float64) bool {
+	return seconds >= 1 && seconds <= 86400 && seconds == math.Trunc(seconds) && 86400%int(seconds) == 0
 }
 
 // Day is the campaign's per-day reduction of the counter stream.
@@ -382,13 +391,12 @@ type Result struct {
 
 // Campaign drives the cluster through the measurement window. It wires the
 // three stages together: plans from the Generator are scheduled onto the
-// discrete-event clock, the Engine advances counter state between events,
-// and each closed day streams into the Reducer.
+// discrete-event clock, each tick advances and samples counter state
+// (engine.go), and each closed day streams into the Reducer.
 type Campaign struct {
 	cfg   Config
 	mix   Mix
 	gen   Generator
-	eng   Engine
 	clock *simclock.Clock
 	nodes []*node.Node
 	srv   *pbs.Server
@@ -407,7 +415,7 @@ type Campaign struct {
 	// Fault-injection state, all touched only on the simulation goroutine;
 	// nil/zero when cfg.Faults is nil. The plan is rebuilt at each day
 	// boundary from the day's own substream, fates is the per-tick scratch
-	// the engine executes, pendingRebase marks nodes whose next captured
+	// sampleNodes executes, pendingRebase marks nodes whose next captured
 	// sample must re-baseline after a counter reset, and lastCaptured
 	// tracks each node's last successful sample time for the covered/lost
 	// node-second accounting.
@@ -540,7 +548,7 @@ func (c *Campaign) onEnd(j *pbs.Job) {
 			}
 			if lost := (end - trunc).Seconds(); lost > 0 {
 				c.dayCov.DelayedEpilogues++
-				c.dayCov.LostNodeSeconds += lost * float64(len(j.Nodes()))
+				c.dayCov.LostNodeSeconds += float64(lost * float64(len(j.Nodes())))
 			}
 			end = trunc
 		}
@@ -578,8 +586,8 @@ func (c *Campaign) tick(at simclock.Time, tickNo int) {
 	if c.cfg.Faults != nil {
 		fates = c.prepareFaultTick(at, tickNo)
 	}
-	c.eng.AdvanceRuns(c.sortedRuns(), at)
-	tickDelta := c.eng.SampleNodes(c.nodes, c.prev, fates)
+	advanceRuns(c.sortedRuns(), at)
+	tickDelta := sampleNodes(c.nodes, c.prev, fates)
 	c.curDay.Delta.Add(tickDelta)
 
 	clean := true
@@ -739,12 +747,10 @@ func (c *Campaign) RunInto(red Reducer) {
 		panic("workload: campaign already run")
 	}
 	c.ran = true
-	if int(86400)%int(c.cfg.SamplePeriodSeconds) != 0 {
+	if !ValidSamplePeriod(c.cfg.SamplePeriodSeconds) {
 		panic(fmt.Sprintf("workload: sample period %v must divide a day", c.cfg.SamplePeriodSeconds))
 	}
 	c.red = red
-	c.eng = NewEngine(c.cfg.Workers)
-	defer c.eng.Close()
 
 	period := simclock.Time(c.cfg.SamplePeriodSeconds)
 	ticksPerDay := int(86400 / c.cfg.SamplePeriodSeconds)

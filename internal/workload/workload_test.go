@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -304,16 +305,23 @@ func TestDayAccessors(t *testing.T) {
 	}
 }
 
+// TestBadSamplePeriodPanics: a period that is not a whole number of
+// seconds dividing 86400 stops the campaign with the named message, never
+// an integer divide by zero or a run of short days.
 func TestBadSamplePeriodPanics(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.Days = 1
-	cfg.SamplePeriodSeconds = 1000 // does not divide 86400
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewCampaign(cfg, DefaultMix(std(t))).Run()
+	for _, period := range []float64{1000, 900.5, 0.5} {
+		cfg := DefaultConfig(1)
+		cfg.Days = 1
+		cfg.SamplePeriodSeconds = period
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "must divide a day") {
+					t.Errorf("period %v: panic %q, want the sample-period message", period, msg)
+				}
+			}()
+			NewCampaign(cfg, DefaultMix(std(t))).Run()
+		}()
+	}
 }
 
 func TestClassForLargeJobsAvoidsStandardMix(t *testing.T) {
