@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt-check fma-check lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke perfbench-selftest ci
+.PHONY: build test race vet fmt-check fma-check lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke examples-smoke fuzz-smoke property soak-smoke perfbench-selftest ci
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,15 @@ replay-smoke:
 	cmp $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
 	rm -f $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
 
+# Run every example under examples/ once; a non-zero exit fails. The
+# examples are the runnable documentation of each subsystem, and nothing
+# else executes their main packages.
+examples-smoke:
+	@for ex in examples/*/; do \
+		echo "== $$ex"; \
+		$(GO) run ./$$ex > /dev/null || { echo "$$ex failed"; exit 1; }; \
+	done
+
 # Short fuzzing pass over every fuzz target (committed corpora plus
 # FUZZTIME of fresh exploration per target). go test allows one -fuzz
 # pattern per invocation, so each target gets its own run.
@@ -148,4 +157,4 @@ perfbench-selftest:
 	cd perfbench && $(GO) test .
 
 # Every step of the CI workflow's main job, in its order.
-ci: build vet fmt-check fma-check test race lint lint-fixtures spec-validate bench-smoke bench-gate fleet-smoke replay-smoke soak-smoke perfbench-selftest
+ci: build vet fmt-check fma-check test race lint lint-fixtures spec-validate bench-smoke bench-gate fleet-smoke replay-smoke examples-smoke soak-smoke perfbench-selftest

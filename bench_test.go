@@ -394,7 +394,7 @@ func BenchmarkMeasureStandardCold(b *testing.B) {
 
 // BenchmarkCollectorThroughput measures the sustained collection service
 // end to end: a healthy in-process fleet (4 daemons x 8 nodes) swept by
-// the pooled, batched collector over loopback TCP, every sample landing
+// the pooled, batched Service over loopback TCP, every sample landing
 // in the log through the bounded ingest queue. One iteration is eight
 // fleet-wide sweeps (8 x 32 node reads, so the single-pass `make bench`
 // timing averages away loopback jitter); the samples/s and wire bytes/s
@@ -403,7 +403,7 @@ func BenchmarkMeasureStandardCold(b *testing.B) {
 func BenchmarkCollectorThroughput(b *testing.B) {
 	h, err := loadtest.New(loadtest.Spec{
 		Healthy: 4, NodesPerDaemon: 8,
-		Collectors: 4, Batch: true, Seed: 1,
+		Collectors: 4, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

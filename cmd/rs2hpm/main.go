@@ -2,15 +2,16 @@
 // daemon, lists the nodes it serves, and prints either raw counter totals
 // or — with -watch — the rates over a sampling interval, reduced exactly
 // as the paper's tables reduce them. With -collect it instead runs the
-// sustained collection service: pooled connections, batched MGET sweeps,
-// and a bounded ingestion queue, against one daemon or a whole fleet.
+// collection service: pooled connections, batched sweeps (MGET on v2
+// daemons, single-GET on v1) and a bounded ingestion queue, against one
+// daemon or a whole fleet.
 //
 // Usage:
 //
 //	rs2hpm -addr 127.0.0.1:7117            # raw totals per node
 //	rs2hpm -addr 127.0.0.1:7117 -watch 5s  # rates over a 5-second window
 //	rs2hpm -addrs host1:7117,host2:7117 -collect 1m -every 2s
-//	       [-pool-size 2] [-batch] [-queue-depth 256] [-queue-policy block]
+//	       [-pool-size 2] [-queue-depth 256] [-queue-policy block]
 package main
 
 import (
@@ -31,7 +32,6 @@ func main() {
 	every := flag.Duration("every", time.Second, "sweep interval in collect mode")
 	addrs := flag.String("addrs", "", "comma-separated daemon addresses for collect mode (default: -addr)")
 	poolSize := flag.Int("pool-size", 2, "idle connections kept per daemon in collect mode")
-	batch := flag.Bool("batch", true, "use the batched MGET command against daemons that speak protocol v2")
 	queueDepth := flag.Int("queue-depth", 256, "bounded ingestion queue depth in collect mode")
 	queuePolicy := flag.String("queue-policy", "block", "full-queue policy in collect mode: block (lossless) or drop (gap-marked)")
 	collectors := flag.Int("collectors", 0, "concurrent collector goroutines in collect mode (0 = one per daemon, capped at 4)")
@@ -45,7 +45,6 @@ func main() {
 			duration:   *collect,
 			every:      *every,
 			poolSize:   *poolSize,
-			batch:      *batch,
 			queueDepth: *queueDepth,
 			policy:     *queuePolicy,
 			collectors: *collectors,
@@ -108,16 +107,16 @@ type collectSettings struct {
 	duration   time.Duration
 	every      time.Duration
 	poolSize   int
-	batch      bool
 	queueDepth int
 	policy     string
 	collectors int
 	retries    int
 }
 
-// runCollect is the sustained-collection entry point: the in-process
-// equivalent of the paper's 10-minute cron sweep, run continuously with
-// pooled connections and batched reads, then accounted for exactly.
+// runCollect is the sustained-collection entry point: the paper's cron
+// sweep (once per sample period, the simulator's 900 s) run every -every
+// instead, with pooled connections and batched reads, then accounted for
+// exactly.
 func runCollect(s collectSettings) {
 	if s.addrs == "" {
 		s.addrs = s.fallback
@@ -142,7 +141,6 @@ func runCollect(s collectSettings) {
 	svc, err := rs2hpm.NewService(rs2hpm.ServiceConfig{
 		Addrs:      list,
 		Collectors: s.collectors,
-		Batch:      s.batch,
 		Retries:    s.retries,
 		Pool:       rs2hpm.PoolConfig{Size: s.poolSize, HealthCheck: true},
 		Queue:      rs2hpm.IngestConfig{Depth: s.queueDepth, Policy: policy},
@@ -150,8 +148,8 @@ func runCollect(s collectSettings) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("rs2hpm: collecting from %d daemon(s) every %v for %v (batch=%v pool=%d queue=%d/%s)\n",
-		len(list), s.every, s.duration, s.batch, s.poolSize, s.queueDepth, policy)
+	fmt.Printf("rs2hpm: collecting from %d daemon(s) every %v for %v (pool=%d queue=%d/%s)\n",
+		len(list), s.every, s.duration, s.poolSize, s.queueDepth, policy)
 
 	start := time.Now()
 	ticker := time.NewTicker(s.every)

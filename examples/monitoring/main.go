@@ -1,7 +1,8 @@
 // The monitoring stack, end to end: simulated nodes running kernels, the
-// rs2hpmd daemon serving their counters over real TCP, and the collector
-// sampling the daemon into a time-series log — the in-memory form of the
-// files the paper's 15-minute cron job wrote.
+// rs2hpmd daemon serving their counters over real TCP, and a one-address
+// collection Service sweeping the daemon into a time-series log — the
+// paper's cron sweep, once per 900 s sample period, and the in-memory
+// form of the files it wrote.
 //
 //	go run ./examples/monitoring
 package main
@@ -42,12 +43,15 @@ func main() {
 	fmt.Printf("rs2hpmd serving %d nodes on %s\n\n", len(nodes), addr)
 
 	logbook := rs2hpm.NewSampleLog()
-	collector := rs2hpm.NewCollector(addr, logbook)
+	svc, err := rs2hpm.NewService(rs2hpm.ServiceConfig{Addrs: []string{addr}}, logbook)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// Two sampling passes with simulated work in between — the cron cycle,
-	// compressed: each "15-minute interval" is a burst of simulated
+	// Two sweeps with simulated work in between — the cron cycle,
+	// compressed: each 900 s sample period is a burst of simulated
 	// instructions.
-	if err := collector.CollectOnce(0); err != nil {
+	if err := svc.SweepOnce(0); err != nil {
 		log.Fatal(err)
 	}
 	elapsed := make([]float64, len(nodes))
@@ -55,9 +59,10 @@ func main() {
 		st := nodes[i].RunLimited(streams[i], 800_000)
 		elapsed[i] = float64(st.Cycles) / 66.7e6
 	}
-	if err := collector.CollectOnce(900); err != nil {
+	if err := svc.SweepOnce(900); err != nil {
 		log.Fatal(err)
 	}
+	svc.Close() // drains the ingest queue into the log
 
 	fmt.Printf("%4s %-8s %10s %10s %10s %12s\n", "node", "code", "Mflops", "Mips", "fma-frac", "flops/memref")
 	for i, name := range specs {

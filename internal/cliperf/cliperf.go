@@ -117,10 +117,10 @@ func (c *Campaign) PrintPresets() {
 
 // Start readies the process before anything is measured, so a typo
 // fails in milliseconds: it loads -spec (exit 2) and probes the -replay
-// trace (exit 1; the definition check needs the members and runs in
-// fleet.Run), then starts the CPU profile and warms the measurement
-// store from -profile-cache (exit 1). Defer the returned stop: it writes
-// the heap profile and stops the CPU profile.
+// trace's header (exit 1; fleet.Run decodes the records once and checks
+// them against the members), then starts the CPU profile and warms the
+// measurement store from -profile-cache (exit 1). Defer the returned
+// stop: it writes the heap profile and stops the CPU profile.
 func (c *Campaign) Start() (stop func()) {
 	if c.Spec != "" {
 		var err error
@@ -129,7 +129,7 @@ func (c *Campaign) Start() (stop func()) {
 		}
 	}
 	if c.Replay != "" {
-		if _, err := replay.OpenFile(c.Replay); err != nil {
+		if _, err := replay.ReadHeaderFile(c.Replay); err != nil {
 			c.Fail(1, err)
 		}
 	}

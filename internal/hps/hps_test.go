@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/hpm"
+	"repro/internal/node"
 )
 
 type fakeAdapter struct {
@@ -103,6 +106,25 @@ func TestDeliverAccountsBothEnds(t *testing.T) {
 	msgs, bytes := n.Stats()
 	if msgs != 1 || bytes != 6400 {
 		t.Fatalf("stats = %d msgs %d bytes", msgs, bytes)
+	}
+}
+
+// TestDeliverChargesNodeDMA: with real nodes on both ends of the switch,
+// a delivery lands in the SCU counters the daemon serves — the sender's
+// dma_read and the receiver's dma_write, one per 64-byte transfer.
+func TestDeliverChargesNodeDMA(t *testing.T) {
+	n := New(SP2())
+	src, dst := node.New(node.Config{ID: 0}), node.New(node.Config{ID: 1})
+	n.Attach(src)
+	n.Attach(dst)
+	if _, err := n.Deliver(0, 1, 6400); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Counters().Get(hpm.User, hpm.EvDMARead); got != 100 {
+		t.Fatalf("sender dma_read = %d, want 100", got)
+	}
+	if got := dst.Counters().Get(hpm.User, hpm.EvDMAWrite); got != 100 {
+		t.Fatalf("receiver dma_write = %d, want 100", got)
 	}
 }
 

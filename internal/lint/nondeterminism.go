@@ -15,7 +15,6 @@ import (
 // rule without living under internal/.
 var simulatorPackages = map[string]bool{
 	"power2":   true,
-	"cluster":  true,
 	"hpm":      true,
 	"workload": true,
 	"mpi":      true,

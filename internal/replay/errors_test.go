@@ -2,8 +2,8 @@ package replay_test
 
 // Error-path coverage for the trace decoder and validator: every way a
 // trace can be wrong classifies into exactly one of the three sentinel
-// families (ErrVersion, ErrCorrupt, ErrMismatch), with no panics and no
-// silently accepted garbage. The cases mirror what operators actually
+// families (trace.ErrVersion, trace.ErrCorrupt, replay.ErrMismatch), with
+// no panics and no silently accepted garbage. The cases mirror what operators actually
 // hit — truncated files from killed recorders, traces from newer builds,
 // traces replayed against the wrong campaign definition.
 
@@ -18,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/profile"
 	"repro/internal/replay"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -67,20 +68,20 @@ func TestDecodeErrorClassification(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"empty input", nil, replay.ErrCorrupt},
-		{"not JSON", []byte("RS2HPM says hi"), replay.ErrCorrupt},
-		{"JSON but not an object", []byte("[1,2,3]\n"), replay.ErrCorrupt},
-		{"wrong format name", []byte(`{"format":"hpm-checkpoint","version":1}` + "\n"), replay.ErrCorrupt},
-		{"future format version", []byte(`{"format":"hpm-campaign-trace","version":2,"fields_from_the_future":true}` + "\n"), replay.ErrVersion},
-		{"version zero", []byte(`{"format":"hpm-campaign-trace","version":0}` + "\n"), replay.ErrVersion},
-		{"unknown header field at current version", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1,"days":1,"cluster_days":[1],"faulted":false,"extra":1}` + "\n"), replay.ErrCorrupt},
-		{"cluster_days disagrees with clusters", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":2,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), replay.ErrCorrupt},
-		{"days disagrees with cluster_days", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1,"days":5,"cluster_days":[1],"faulted":false}` + "\n"), replay.ErrCorrupt},
-		{"absurd cluster count", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1073741824,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), replay.ErrCorrupt},
-		{"header only, no records", header, replay.ErrCorrupt},
-		{"truncated mid-record", valid[:len(valid)-len(valid)/3], replay.ErrCorrupt},
-		{"trailing garbage", append(append([]byte{}, valid...), []byte("}{ not a record")...), replay.ErrCorrupt},
-		{"trailing duplicate record", append(append([]byte{}, valid...), valid[len(header):]...), replay.ErrCorrupt},
+		{"empty input", nil, trace.ErrCorrupt},
+		{"not JSON", []byte("RS2HPM says hi"), trace.ErrCorrupt},
+		{"JSON but not an object", []byte("[1,2,3]\n"), trace.ErrCorrupt},
+		{"wrong format name", []byte(`{"format":"hpm-checkpoint","version":1}` + "\n"), trace.ErrCorrupt},
+		{"future format version", []byte(`{"format":"hpm-campaign-trace","version":2,"fields_from_the_future":true}` + "\n"), trace.ErrVersion},
+		{"version zero", []byte(`{"format":"hpm-campaign-trace","version":0}` + "\n"), trace.ErrVersion},
+		{"unknown header field at current version", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1,"days":1,"cluster_days":[1],"faulted":false,"extra":1}` + "\n"), trace.ErrCorrupt},
+		{"cluster_days disagrees with clusters", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":2,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
+		{"days disagrees with cluster_days", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1,"days":5,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
+		{"absurd cluster count", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1073741824,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
+		{"header only, no records", header, trace.ErrCorrupt},
+		{"truncated mid-record", valid[:len(valid)-len(valid)/3], trace.ErrCorrupt},
+		{"trailing garbage", append(append([]byte{}, valid...), []byte("}{ not a record")...), trace.ErrCorrupt},
+		{"trailing duplicate record", append(append([]byte{}, valid...), valid[len(header):]...), trace.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,7 +194,7 @@ func TestOpenFileErrors(t *testing.T) {
 
 	t.Run("missing file", func(t *testing.T) {
 		_, err := replay.OpenFile(filepath.Join(dir, "nope.trace.gz"))
-		if err == nil || errors.Is(err, replay.ErrCorrupt) {
+		if err == nil || errors.Is(err, trace.ErrCorrupt) {
 			t.Fatalf("want a plain I/O error, got %v", err)
 		}
 	})
@@ -202,7 +203,7 @@ func TestOpenFileErrors(t *testing.T) {
 		if err := os.WriteFile(path, []byte("just text"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := replay.OpenFile(path); !errors.Is(err, replay.ErrCorrupt) {
+		if _, err := replay.OpenFile(path); !errors.Is(err, trace.ErrCorrupt) {
 			t.Fatalf("want ErrCorrupt for a non-gzip file, got %v", err)
 		}
 	})

@@ -2,10 +2,10 @@ package replay
 
 // Fuzz target for the trace decoder (header probe + record framing).
 // The decoder fronts files users hand to -replay, so arbitrary bytes
-// must classify as ErrVersion or ErrCorrupt — never panic, never hang,
-// never allocate proportionally to a lying header — and anything it
-// accepts must survive a re-encode/decode cycle identically (in-package
-// so the cycle can compare the decoded storage directly).
+// must classify as trace.ErrVersion or trace.ErrCorrupt — never panic,
+// never hang, never allocate proportionally to a lying header — and
+// anything it accepts must survive a re-encode/decode cycle identically
+// (in-package so the cycle can compare the decoded storage directly).
 
 import (
 	"bytes"
@@ -13,6 +13,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func FuzzReplayDecode(f *testing.F) {
@@ -35,7 +37,7 @@ func FuzzReplayDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rp, err := Decode(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, trace.ErrVersion) && !errors.Is(err, trace.ErrCorrupt) {
 				t.Fatalf("decode error escaped classification: %v", err)
 			}
 			return

@@ -33,6 +33,10 @@ type Recorder struct {
 	done bool
 }
 
+// syncFile is the fsync a finished trace file goes through before it is
+// renamed into place; tests replace it with one that fails.
+var syncFile = (*os.File).Sync
+
 // NewRecorder writes a trace to w as uncompressed JSON — the header
 // immediately, records as they are generated. Most callers want Create.
 func NewRecorder(w io.Writer, h Header) (*Recorder, error) {
@@ -101,9 +105,10 @@ func (r *Recorder) Err() error {
 	return r.err
 }
 
-// Close flushes the trace and, for file-backed recorders, renames the
-// temporary file over the target path. It returns the first error the
-// recorder hit anywhere — a trace that Closed cleanly is complete.
+// Close flushes the trace and, for file-backed recorders, fsyncs the
+// temporary file and renames it over the target path. It returns the
+// first error the recorder hit anywhere — a trace that Closed cleanly is
+// complete, and on disk. On error the target path is left as it was.
 func (r *Recorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -117,6 +122,11 @@ func (r *Recorder) Close() error {
 		}
 	}
 	if r.f != nil {
+		if r.err == nil {
+			if err := syncFile(r.f); err != nil {
+				r.err = fmt.Errorf("replay: sync trace: %w", err)
+			}
+		}
 		if err := r.f.Close(); err != nil && r.err == nil {
 			r.err = fmt.Errorf("replay: close trace: %w", err)
 		}

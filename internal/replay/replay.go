@@ -40,27 +40,22 @@ import (
 
 // Format identity. FormatVersion must change whenever the trace layout
 // changes incompatibly — a reader seeing a newer version reports
-// ErrVersion rather than guessing.
+// trace.ErrVersion rather than guessing.
 const (
 	FormatName    = "hpm-campaign-trace"
 	FormatVersion = 1
 )
 
-// Decode and validation failures classify into exactly three families,
-// matchable with errors.Is. Nothing in this package panics on trace
-// bytes: arbitrary input decodes or fails with one of these.
-var (
-	// ErrVersion: the file is a campaign trace, but from an incompatible
-	// format version (usually a newer writer).
-	ErrVersion = errors.New("replay: unsupported trace format version")
-	// ErrCorrupt: the bytes are not a structurally sound trace —
-	// truncated, trailing garbage, not gzip/JSON, or internally
-	// inconsistent (duplicate or out-of-range records).
-	ErrCorrupt = errors.New("replay: corrupt trace")
-	// ErrMismatch: the trace is sound but was recorded from a different
-	// campaign definition than the one replaying it.
-	ErrMismatch = errors.New("replay: trace does not match campaign definition")
-)
+// Failures classify into three families, matchable with errors.Is.
+// Decoding wraps the two sentinels the checkpoint journal uses too:
+// trace.ErrVersion for a trace from an incompatible format version
+// (usually a newer writer), and trace.ErrCorrupt for bytes that are not
+// a structurally sound trace — truncated, trailing garbage, not
+// gzip/JSON, or internally inconsistent (duplicate or out-of-range
+// records). Nothing in this package panics on trace bytes. Validation
+// fails with ErrMismatch: the trace is sound but was recorded from a
+// different campaign definition than the one replaying it.
+var ErrMismatch = errors.New("replay: trace does not match campaign definition")
 
 // Header opens every trace: the identity of the campaign that wrote it.
 type Header struct {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -30,55 +31,20 @@ type Replayer struct {
 	validated bool
 }
 
-// Decode reads an uncompressed JSON trace from r. Failures classify as
-// ErrVersion or ErrCorrupt — never a panic, whatever the bytes. Most
-// callers want OpenFile, which layers gzip and the file on top.
+// Decode reads an uncompressed JSON trace from r. Failures wrap
+// trace.ErrVersion or trace.ErrCorrupt — never a panic, whatever the
+// bytes. Most callers want OpenFile, which layers gzip and the file on
+// top.
 func Decode(r io.Reader) (*Replayer, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-
-	// Two-pass header decode. The loose probe reads only the format
-	// identity, so a trace from a *newer* writer — whose header may have
-	// fields this reader has never heard of — still classifies as a
-	// version error rather than corruption.
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
+	h, err := decodeHeader(dec)
+	if err != nil {
+		return nil, err
 	}
-	var probe struct {
-		Format  string `json:"format"`
-		Version int    `json:"version"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil || probe.Format != FormatName {
-		return nil, fmt.Errorf("%w: not a %s header", ErrCorrupt, FormatName)
-	}
-	if probe.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: trace is version %d, this reader speaks %d", ErrVersion, probe.Version, FormatVersion)
-	}
-	var h Header
-	hdec := json.NewDecoder(bytes.NewReader(raw))
-	hdec.DisallowUnknownFields()
-	if err := hdec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("%w: malformed header: %v", ErrCorrupt, err)
-	}
-	if h.Clusters < 1 || h.Clusters > maxTraceDim {
-		return nil, fmt.Errorf("%w: header claims %d clusters", ErrCorrupt, h.Clusters)
-	}
-	if len(h.ClusterDays) != h.Clusters {
-		return nil, fmt.Errorf("%w: header has %d cluster day counts for %d clusters", ErrCorrupt, len(h.ClusterDays), h.Clusters)
-	}
-	total, maxDays := 0, 0
-	for c, d := range h.ClusterDays {
-		if d < 1 || d > maxTraceDim {
-			return nil, fmt.Errorf("%w: header claims %d days for cluster %d", ErrCorrupt, d, c)
-		}
-		if d > maxDays {
-			maxDays = d
-		}
+	total := 0
+	for _, d := range h.ClusterDays {
 		total += d
-	}
-	if h.Days != maxDays {
-		return nil, fmt.Errorf("%w: header says %d days, cluster day counts say %d", ErrCorrupt, h.Days, maxDays)
 	}
 
 	rp := &Replayer{h: h, records: make([][]*Record, h.Clusters)}
@@ -92,25 +58,25 @@ func Decode(r io.Reader) (*Replayer, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, seen, err)
+			return nil, fmt.Errorf("%w: record %d: %v", trace.ErrCorrupt, seen, err)
 		}
 		if rec.Cluster < 0 || rec.Cluster >= h.Clusters {
-			return nil, fmt.Errorf("%w: record for cluster %d, trace has %d", ErrCorrupt, rec.Cluster, h.Clusters)
+			return nil, fmt.Errorf("%w: record for cluster %d, trace has %d", trace.ErrCorrupt, rec.Cluster, h.Clusters)
 		}
 		if rec.Day < 0 || rec.Day >= h.ClusterDays[rec.Cluster] {
-			return nil, fmt.Errorf("%w: record for cluster %d day %d, cluster has %d days", ErrCorrupt, rec.Cluster, rec.Day, h.ClusterDays[rec.Cluster])
+			return nil, fmt.Errorf("%w: record for cluster %d day %d, cluster has %d days", trace.ErrCorrupt, rec.Cluster, rec.Day, h.ClusterDays[rec.Cluster])
 		}
 		if rec.Plan.Day != rec.Day {
-			return nil, fmt.Errorf("%w: record for day %d carries a plan for day %d", ErrCorrupt, rec.Day, rec.Plan.Day)
+			return nil, fmt.Errorf("%w: record for day %d carries a plan for day %d", trace.ErrCorrupt, rec.Day, rec.Plan.Day)
 		}
 		if rec.Faults != nil && rec.Faults.Day != rec.Day {
-			return nil, fmt.Errorf("%w: record for day %d carries a fault plan for day %d", ErrCorrupt, rec.Day, rec.Faults.Day)
+			return nil, fmt.Errorf("%w: record for day %d carries a fault plan for day %d", trace.ErrCorrupt, rec.Day, rec.Faults.Day)
 		}
 		if rp.records[rec.Cluster] == nil {
 			rp.records[rec.Cluster] = make([]*Record, h.ClusterDays[rec.Cluster])
 		}
 		if rp.records[rec.Cluster][rec.Day] != nil {
-			return nil, fmt.Errorf("%w: cluster %d day %d recorded twice", ErrCorrupt, rec.Cluster, rec.Day)
+			return nil, fmt.Errorf("%w: cluster %d day %d recorded twice", trace.ErrCorrupt, rec.Cluster, rec.Day)
 		}
 		r := rec
 		rp.records[rec.Cluster][rec.Day] = &r
@@ -120,29 +86,102 @@ func Decode(r io.Reader) (*Replayer, error) {
 	// expected count means every slot is filled — a truncated trace (or
 	// one whose recorder died mid-campaign) fails here.
 	if seen != total {
-		return nil, fmt.Errorf("%w: trace has %d of %d records", ErrCorrupt, seen, total)
+		return nil, fmt.Errorf("%w: trace has %d of %d records", trace.ErrCorrupt, seen, total)
 	}
 	return rp, nil
 }
 
+// decodeHeader reads and checks a trace's header, the first value on
+// dec: its format identity, then its geometry.
+func decodeHeader(dec *json.Decoder) (Header, error) {
+	// Two-pass header decode. The loose probe reads only the format
+	// identity, so a trace from a *newer* writer — whose header may have
+	// fields this reader has never heard of — still classifies as a
+	// version error rather than corruption.
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		return Header{}, fmt.Errorf("%w: reading header: %v", trace.ErrCorrupt, err)
+	}
+	var probe struct {
+		Format  string `json:"format"`
+		Version int    `json:"version"`
+	}
+	if err := json.Unmarshal(raw, &probe); err != nil || probe.Format != FormatName {
+		return Header{}, fmt.Errorf("%w: not a %s header", trace.ErrCorrupt, FormatName)
+	}
+	if probe.Version != FormatVersion {
+		return Header{}, fmt.Errorf("%w: trace is version %d, this reader speaks %d", trace.ErrVersion, probe.Version, FormatVersion)
+	}
+	var h Header
+	hdec := json.NewDecoder(bytes.NewReader(raw))
+	hdec.DisallowUnknownFields()
+	if err := hdec.Decode(&h); err != nil {
+		return Header{}, fmt.Errorf("%w: malformed header: %v", trace.ErrCorrupt, err)
+	}
+	if h.Clusters < 1 || h.Clusters > maxTraceDim {
+		return Header{}, fmt.Errorf("%w: header claims %d clusters", trace.ErrCorrupt, h.Clusters)
+	}
+	if len(h.ClusterDays) != h.Clusters {
+		return Header{}, fmt.Errorf("%w: header has %d cluster day counts for %d clusters", trace.ErrCorrupt, len(h.ClusterDays), h.Clusters)
+	}
+	maxDays := 0
+	for c, d := range h.ClusterDays {
+		if d < 1 || d > maxTraceDim {
+			return Header{}, fmt.Errorf("%w: header claims %d days for cluster %d", trace.ErrCorrupt, d, c)
+		}
+		if d > maxDays {
+			maxDays = d
+		}
+	}
+	if h.Days != maxDays {
+		return Header{}, fmt.Errorf("%w: header says %d days, cluster day counts say %d", trace.ErrCorrupt, h.Days, maxDays)
+	}
+	return h, nil
+}
+
 // OpenFile loads a gzip-compressed trace from path, classifying every
-// failure as ErrVersion or ErrCorrupt (I/O errors surface as themselves).
+// failure as trace.ErrVersion or trace.ErrCorrupt (I/O errors surface as
+// themselves).
 func OpenFile(path string) (*Replayer, error) {
+	var rp *Replayer
+	err := readGzip(path, func(r io.Reader) (err error) {
+		rp, err = Decode(r)
+		return err
+	})
+	return rp, err
+}
+
+// ReadHeaderFile reads only the header of the gzip-compressed trace at
+// path, failing as OpenFile would on a missing file, a stream that is
+// not gzip, or a header that is not this format and version. It is the
+// fail-fast probe a CLI runs before measuring anything; the records are
+// read, and checked, by OpenFile.
+func ReadHeaderFile(path string) (Header, error) {
+	var h Header
+	err := readGzip(path, func(r io.Reader) (err error) {
+		h, err = decodeHeader(json.NewDecoder(r))
+		return err
+	})
+	return h, err
+}
+
+// readGzip opens path's gzip stream, counting the compressed bytes read,
+// and hands it to decode; decode errors are prefixed with path.
+func readGzip(path string, decode func(io.Reader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("replay: open trace: %w", err)
+		return fmt.Errorf("replay: open trace: %w", err)
 	}
 	defer f.Close()
 	gz, err := gzip.NewReader(countingReader{f, telBytesRead})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s is not a gzip stream: %v", ErrCorrupt, path, err)
+		return fmt.Errorf("%w: %s is not a gzip stream: %v", trace.ErrCorrupt, path, err)
 	}
 	defer gz.Close()
-	rp, err := Decode(gz)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if err := decode(gz); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	return rp, nil
+	return nil
 }
 
 // Header returns the trace header.

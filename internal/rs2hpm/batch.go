@@ -1,9 +1,10 @@
 package rs2hpm
 
 // The batched half of wire protocol v2. The original tools paid one
-// round-trip per node per sweep — tolerable for a cron job every ten
-// minutes, ruinous for a sustained collection service. MGET collects a
-// whole sample set in one round-trip:
+// round-trip per node per sweep — tolerable for a cron job once per
+// sample period (the simulator's 900 s), ruinous for a sustained
+// collection service. MGET collects a whole sample set in one
+// round-trip:
 //
 //	-> MGET 0 1 2            (or MGET * for every served node)
 //	<- BATCH 3

@@ -1,7 +1,7 @@
 package rs2hpm
 
 // Failure-path tests for the collection stack: the daemon's ERR response
-// for fallible sources, the collector's retry budget and gap-marking, and
+// for fallible sources, the Service's retry budget and gap-marking, and
 // the reset-aware delta segmentation the reducer relies on when a log
 // spans a daemon restart.
 
@@ -36,26 +36,28 @@ func TestDaemonReportsFailedRead(t *testing.T) {
 
 // TestCollectorRetriesPastTransientFailures: with a retry budget large
 // enough, a flaky source's sweep completes with samples and no gaps, and
-// the backoff hook fires once per retry.
+// the backoff hook fires once per retry — once per failed read, the
+// batched first read included.
 func TestCollectorRetriesPastTransientFailures(t *testing.T) {
 	flaky := faults.NewUnreliableSource(newFakeSource(7), 99, 0.5)
 	_, addr := startDaemon(t, flaky)
 	log := NewSampleLog()
 	backoffs := 0
-	col := NewCollectorConfig(addr, log, CollectorConfig{
+	svc := newSweeper(t, addr, ServiceConfig{
 		Retries: 50, // vanishingly unlikely to exhaust at rate 0.5
 		Backoff: func(attempt int) {
 			if attempt < 1 {
-				t.Fatalf("backoff attempt %d out of range", attempt)
+				t.Errorf("backoff attempt %d out of range", attempt)
 			}
 			backoffs++
 		},
-	})
+	}, log)
 	for sweep := 0; sweep < 20; sweep++ {
-		if err := col.CollectOnce(float64(sweep) * 900); err != nil {
-			t.Fatalf("sweep %d failed despite retry budget: %v", sweep, err)
+		if err := svc.SweepOnce(float64(sweep) * 900); err != nil {
+			t.Fatalf("sweep %d failed: %v", sweep, err)
 		}
 	}
+	svc.Close()
 	if got := log.Len(7); got != 20 {
 		t.Fatalf("collected %d samples, want 20", got)
 	}
@@ -72,19 +74,20 @@ func TestCollectorRetriesPastTransientFailures(t *testing.T) {
 }
 
 // TestCollectorGapMarksAbandonedReads: past the retry budget the sweep
-// gap-marks the node, keeps collecting the others, and reports the miss.
+// gap-marks the node, keeps collecting the others, and accounts for the
+// miss in the ledger. A per-node miss does not fail the sweep.
 func TestCollectorGapMarksAbandonedReads(t *testing.T) {
 	dead := faults.NewUnreliableSource(newFakeSource(2), 1, 1)
 	healthy := newFakeSource(9)
 	_, addr := startDaemon(t, dead, healthy)
 	log := NewSampleLog()
-	col := NewCollectorConfig(addr, log, CollectorConfig{Retries: 3})
-	err := col.CollectOnce(900)
-	if err == nil {
-		t.Fatal("sweep with a dead node reported success")
+	svc := newSweeper(t, addr, ServiceConfig{Retries: 3}, log)
+	if err := svc.SweepOnce(900); err != nil {
+		t.Fatalf("a per-node miss failed the sweep: %v", err)
 	}
-	if !strings.Contains(err.Error(), "gap-marked 1 node") {
-		t.Fatalf("sweep error does not describe the gap: %v", err)
+	svc.Close()
+	if l := svc.Ledger(); l.Offered != 2 || l.Captured != 1 || l.Gapped != 1 {
+		t.Fatalf("ledger %+v, want 2 offered, 1 captured, 1 gapped", l)
 	}
 	if log.Len(9) != 1 {
 		t.Fatal("healthy node was not collected after the dead one failed")
@@ -94,7 +97,7 @@ func TestCollectorGapMarksAbandonedReads(t *testing.T) {
 		t.Fatalf("gap marker wrong: %+v", gaps)
 	}
 	reads, _ := dead.Stats()
-	if reads != 4 { // 1 attempt + 3 retries
+	if reads != 4 { // 1 batched attempt + 3 retries
 		t.Fatalf("dead node read %d times, want 4", reads)
 	}
 }

@@ -207,6 +207,3 @@ func (q *IngestQueue) Stats() IngestStats {
 		Rejected: q.rejected.Load(),
 	}
 }
-
-// Depth reports the configured capacity.
-func (q *IngestQueue) Depth() int { return q.cfg.Depth }

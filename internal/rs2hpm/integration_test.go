@@ -2,11 +2,11 @@ package rs2hpm
 
 // The end-to-end integration test for the collection path: a daemon
 // fronting real simulated nodes (one of them flaky, one of them dead) on
-// a loopback TCP port, the real collector driven against it with a retry
-// budget, and the telemetry HTTP endpoint served the way cmd/rs2hpmd
-// serves it. This is the whole paper pipeline in miniature — kernel →
-// counters → daemon → wire → collector → log — with the failure handling
-// and the self-measurement layered on, asserted from the outside.
+// a loopback TCP port, a one-address collection Service driven against it
+// with a retry budget, and the telemetry HTTP endpoint served the way
+// cmd/rs2hpmd serves it. This is the whole paper pipeline in miniature —
+// kernel → counters → daemon → wire → service → log — with the failure
+// handling and the self-measurement layered on, asserted from the outside.
 
 import (
 	"encoding/json"
@@ -26,7 +26,7 @@ import (
 )
 
 // alwaysFails is a Source whose reads never succeed — the dead kernel
-// extension the collector must gap-mark without aborting the sweep.
+// extension the service must gap-mark without aborting the sweep.
 type alwaysFails struct{ id int }
 
 func (a alwaysFails) NodeID() int            { return a.id }
@@ -36,9 +36,9 @@ func (a alwaysFails) TryCounters() (hpm.Counts64, error) {
 }
 
 func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
-	// Bracket the whole test: daemon, web server, and every per-sweep
-	// dial must be returned by the deferred Closes below. Registered
-	// first so it runs after them.
+	// Bracket the whole test: daemon, web server, and the service's
+	// pooled connection and drain goroutine must be returned by the
+	// Closes below. Registered first so it runs after them.
 	before := leakcheck.Take()
 	defer leakcheck.Check(t, before)
 
@@ -70,9 +70,10 @@ func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 
 	// Counter baselines: the registry is process-wide and other tests in
 	// this package feed the same handles, so assert on deltas.
-	sweeps0 := telSweeps.Value()
-	samples0 := telSamples.Value()
+	sweeps0 := telServiceSweeps.Value()
+	captured0 := telIngestCaptured.Value()
 	gaps0 := telGaps.Value()
+	readGaps0 := telServiceGaps.Value()
 	retries0 := telRetries.Value()
 	backoffs0 := telBackoffs.Value()
 	daemonErrs0 := telDaemonErrs.Value()
@@ -81,30 +82,33 @@ func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 
 	log := NewSampleLog()
 	backoffs := 0
-	col := NewCollectorConfig(addr, log, CollectorConfig{
+	svc := newSweeper(t, addr, ServiceConfig{
 		Retries: 3,
 		Backoff: func(attempt int) { backoffs++ },
-	})
+	}, log)
 
 	const sweepCount = 6
-	gapSweeps := 0
 	for i := 0; i < sweepCount; i++ {
 		// Advance the counters between sweeps, as the daemon's tick loop
 		// does.
 		healthy.RunLimited(s0, 50_000)
 		flaky.RunLimited(s1, 50_000)
-		err := col.CollectOnce(float64(i) * 900)
-		// Node 2 fails past any budget, so every sweep must report the
-		// abandoned read — and still deliver the other nodes.
-		if err == nil {
-			t.Fatalf("sweep %d: want gap-marking error, got nil", i)
+		// Node 2 fails past any budget: every sweep gap-marks it, still
+		// delivers the other nodes, and does not fail.
+		if err := svc.SweepOnce(float64(i) * 900); err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
 		}
-		if !strings.Contains(err.Error(), "gap-marked") {
-			t.Fatalf("sweep %d: unexpected error: %v", i, err)
-		}
-		gapSweeps++
 	}
+	svc.Close()
 
+	// The ledger balances, and the dead node cost one gap per sweep.
+	l := svc.Ledger()
+	if err := l.CrossFoot(); err != nil {
+		t.Error(err)
+	}
+	if l.Offered != 3*sweepCount || l.Gapped < sweepCount {
+		t.Errorf("ledger %+v, want %d offered and >= %d gapped", l, 3*sweepCount, sweepCount)
+	}
 	// The healthy node delivered every sweep; the dead node none.
 	if got := log.Len(0); got != sweepCount {
 		t.Errorf("healthy node samples = %d, want %d", got, sweepCount)
@@ -130,14 +134,18 @@ func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 	// Telemetry: the collection path measured itself. The dead node costs
 	// 3 retries per sweep, so retries ≥ 3*sweeps; every retry ran the
 	// backoff hook; every abandoned read gap-marked.
-	if got := telSweeps.Value() - sweeps0; got != sweepCount {
+	if got := telServiceSweeps.Value() - sweeps0; got != sweepCount {
 		t.Errorf("sweeps counter delta = %d, want %d", got, sweepCount)
 	}
-	if got := telGaps.Value() - gaps0; got != uint64(len(log.Gaps(1)))+uint64(sweepCount) {
-		t.Errorf("gaps counter delta = %d, want %d", got, len(log.Gaps(1))+sweepCount)
+	wantGaps := uint64(len(log.Gaps(1))) + sweepCount
+	if got := telGaps.Value() - gaps0; got != wantGaps {
+		t.Errorf("gaps counter delta = %d, want %d", got, wantGaps)
 	}
-	if got := telSamples.Value() - samples0; got != uint64(log.Len(0)+log.Len(1)+log.Len(2)) {
-		t.Errorf("samples counter delta = %d, want %d", got, log.Len(0)+log.Len(1)+log.Len(2))
+	if got := telServiceGaps.Value() - readGaps0; got != wantGaps {
+		t.Errorf("read_gaps counter delta = %d, want %d", got, wantGaps)
+	}
+	if got := telIngestCaptured.Value() - captured0; got != uint64(log.Len(0)+log.Len(1)+log.Len(2)) {
+		t.Errorf("captured counter delta = %d, want %d", got, log.Len(0)+log.Len(1)+log.Len(2))
 	}
 	retryDelta := telRetries.Value() - retries0
 	if retryDelta < uint64(3*sweepCount) {
@@ -159,8 +167,9 @@ func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 	// text — the acceptance criterion's `curl /metrics`.
 	body := httpGet(t, web.URL+"/metrics")
 	for _, want := range []string{
-		"# TYPE rs2hpm_collector_sweeps counter",
-		"rs2hpm_collector_sweeps",
+		"# TYPE rs2hpm_service_sweeps counter",
+		"rs2hpm_service_sweeps",
+		"rs2hpm_service_read_gaps",
 		"rs2hpm_collector_gaps",
 		"rs2hpm_collector_retries",
 		"rs2hpm_daemon_bytes_tx",
@@ -171,7 +180,7 @@ func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 		}
 	}
 	// Spot-check one live value against the in-process counter.
-	wantLine := "rs2hpm_collector_sweeps " + uitoa(telSweeps.Value())
+	wantLine := "rs2hpm_service_sweeps " + uitoa(telServiceSweeps.Value())
 	if !strings.Contains(body, wantLine) {
 		t.Errorf("/metrics lacks %q in:\n%s", wantLine, firstLines(body, 30))
 	}
@@ -183,16 +192,12 @@ func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 	if err := json.Unmarshal([]byte(httpGet(t, web.URL+"/debug/hpmvars")), &doc); err != nil {
 		t.Fatalf("/debug/hpmvars invalid JSON: %v", err)
 	}
-	if doc.Counters["rs2hpm.collector.sweeps"] != telSweeps.Value() {
+	if doc.Counters["rs2hpm.service.sweeps"] != telServiceSweeps.Value() {
 		t.Errorf("/debug/hpmvars sweeps = %d, want %d",
-			doc.Counters["rs2hpm.collector.sweeps"], telSweeps.Value())
+			doc.Counters["rs2hpm.service.sweeps"], telServiceSweeps.Value())
 	}
 	if _, ok := doc.Counters["rs2hpm.daemon.conns"]; !ok {
 		t.Error("/debug/hpmvars missing rs2hpm.daemon.conns")
-	}
-
-	if gapSweeps != sweepCount {
-		t.Fatalf("only %d of %d sweeps exercised the gap path", gapSweeps, sweepCount)
 	}
 }
 

@@ -41,7 +41,8 @@ type Spec struct {
 	// Seed keys every fault schedule; same seed, same failure pattern.
 	Seed uint64
 	// LegacyEvery pins every k-th live daemon to wire protocol v1 so the
-	// service's batch path exercises mixed-version fallback (0 = all v2).
+	// service's batch path exercises the single-GET fallback (0 = all v2,
+	// 1 = all v1).
 	LegacyEvery int
 
 	// Service shape, passed through to rs2hpm.ServiceConfig.
@@ -50,8 +51,13 @@ type Spec struct {
 	QueueDepth int
 	Policy     rs2hpm.BackpressurePolicy
 	SinkDelay  time.Duration // drain throttle, forces backpressure
-	Batch      bool
 	Retries    int
+	// Batch is read by nothing: every sweep goes through
+	// Client.BatchCounters, MGET on v2 daemons and single-GET on v1.
+	//
+	// Deprecated: kept only because the repository benchmark (perfbench)
+	// still assigns it; setting it has no effect.
+	Batch bool
 }
 
 // Normalize fills defaults in place and returns the spec for chaining.
@@ -199,7 +205,6 @@ func New(spec Spec) (*Harness, error) {
 	svc, err := rs2hpm.NewService(rs2hpm.ServiceConfig{
 		Addrs:      h.addrs,
 		Collectors: spec.Collectors,
-		Batch:      spec.Batch,
 		Retries:    spec.Retries,
 		Pool:       rs2hpm.PoolConfig{Size: spec.PoolSize, HealthCheck: true},
 		Queue: rs2hpm.IngestConfig{

@@ -22,43 +22,49 @@ import (
 const soakBudget = 400 * time.Millisecond
 
 // TestSoakLedgerAcrossFaultRates is the acceptance matrix: fault rates
-// {0, flaky, dead}, batched and single-GET, each soaked for the wall
-// budget with zero leaked goroutines/fds and an exactly cross-footed
-// ledger.
+// {0, flaky, dead}, batched (v2 daemons) and single-GET (v1 daemons),
+// each soaked for the wall budget with zero leaked goroutines/fds and an
+// exactly cross-footed ledger.
 func TestSoakLedgerAcrossFaultRates(t *testing.T) {
+	// MGET batches are process-wide telemetry; assert on deltas.
+	batches := telemetry.Default.Counter("rs2hpm.client.batches")
+	fallbacks := telemetry.Default.Counter("rs2hpm.client.fallbacks")
 	cases := []struct {
 		name      string
 		spec      Spec
 		wantGaps  bool // fault injection must actually produce gaps
 		wantFails bool // dead daemons must surface as sweep failures
+		singleGet bool // an all-v1 fleet: no read may travel as MGET
 	}{
 		{
 			name: "fault-rate-zero",
-			spec: Spec{Healthy: 3, NodesPerDaemon: 4, Collectors: 3, Batch: true, Seed: 1},
+			spec: Spec{Healthy: 3, NodesPerDaemon: 4, Collectors: 3, Seed: 1},
 		},
 		{
-			name: "fault-rate-zero-single-get",
-			spec: Spec{Healthy: 3, NodesPerDaemon: 4, Collectors: 3, Batch: false, Seed: 1},
+			name:      "fault-rate-zero-single-get",
+			spec:      Spec{Healthy: 3, NodesPerDaemon: 4, LegacyEvery: 1, Collectors: 3, Seed: 1},
+			singleGet: true,
 		},
 		{
 			name:     "flaky",
-			spec:     Spec{Healthy: 2, Flaky: 2, NodesPerDaemon: 4, FlakyRate: 0.6, Collectors: 4, Batch: true, Retries: 1, Seed: 42},
+			spec:     Spec{Healthy: 2, Flaky: 2, NodesPerDaemon: 4, FlakyRate: 0.6, Collectors: 4, Retries: 1, Seed: 42},
 			wantGaps: true,
 		},
 		{
 			name:      "dead-and-slow",
-			spec:      Spec{Healthy: 2, Dead: 2, Slow: 1, NodesPerDaemon: 3, SlowDelay: 100 * time.Microsecond, Collectors: 4, Batch: true, Seed: 7},
+			spec:      Spec{Healthy: 2, Dead: 2, Slow: 1, NodesPerDaemon: 3, SlowDelay: 100 * time.Microsecond, Collectors: 4, Seed: 7},
 			wantFails: true,
 		},
 		{
 			name:      "mixed-version-fleet",
-			spec:      Spec{Healthy: 4, Dead: 1, NodesPerDaemon: 4, LegacyEvery: 2, Collectors: 4, Batch: true, Seed: 9},
+			spec:      Spec{Healthy: 4, Dead: 1, NodesPerDaemon: 4, LegacyEvery: 2, Collectors: 4, Seed: 9},
 			wantFails: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := leakcheck.Take()
+			batches0, fallbacks0 := batches.Value(), fallbacks.Value()
 			h, err := New(tc.spec)
 			if err != nil {
 				t.Fatal(err)
@@ -66,6 +72,10 @@ func TestSoakLedgerAcrossFaultRates(t *testing.T) {
 			sweeps := h.SoakFor(soakBudget)
 			h.Close()
 			leakcheck.Check(t, before)
+			if tc.singleGet && (batches.Value() != batches0 || fallbacks.Value() == fallbacks0) {
+				t.Errorf("v1 fleet: %d MGET batches and %d fallbacks, want none and some",
+					batches.Value()-batches0, fallbacks.Value()-fallbacks0)
+			}
 
 			if sweeps < 10 {
 				t.Fatalf("soak managed only %d sweeps; the run proves nothing", sweeps)
@@ -104,7 +114,7 @@ func TestSoakGapRateBounded(t *testing.T) {
 	h, err := New(Spec{
 		Healthy: 2, Flaky: 2, NodesPerDaemon: 4,
 		FlakyRate: 0.5, Retries: 2,
-		Collectors: 4, Batch: true, Seed: 1234,
+		Collectors: 4, Seed: 1234,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +149,7 @@ func TestSoakBackpressureDrop(t *testing.T) {
 	before := leakcheck.Take()
 	h, err := New(Spec{
 		Healthy: 2, NodesPerDaemon: 8,
-		Collectors: 2, Batch: true, Seed: 5,
+		Collectors: 2, Seed: 5,
 		QueueDepth: 2, Policy: rs2hpm.DropWithGap, SinkDelay: 2 * time.Millisecond,
 	})
 	if err != nil {
@@ -175,7 +185,7 @@ func TestSoakBackpressureDrop(t *testing.T) {
 func TestSoakBlockingPolicyIsLossless(t *testing.T) {
 	h, err := New(Spec{
 		Healthy: 2, NodesPerDaemon: 8,
-		Collectors: 2, Batch: true, Seed: 5,
+		Collectors: 2, Seed: 5,
 		QueueDepth: 2, Policy: rs2hpm.BlockOnFull, SinkDelay: 500 * time.Microsecond,
 	})
 	if err != nil {
@@ -200,7 +210,7 @@ func TestSoakPoolReusesConnections(t *testing.T) {
 	reuses := telemetry.Default.Counter("rs2hpm.pool.reuses")
 	dials0, reuses0 := dials.Value(), reuses.Value()
 
-	h, err := New(Spec{Healthy: 3, NodesPerDaemon: 2, Collectors: 3, Batch: true, Seed: 2})
+	h, err := New(Spec{Healthy: 3, NodesPerDaemon: 2, Collectors: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +247,7 @@ func TestSoakDeterministicGapPattern(t *testing.T) {
 		h, err := New(Spec{
 			Healthy: 1, Flaky: 2, NodesPerDaemon: 3,
 			FlakyRate: 0.5, Retries: 1,
-			Collectors: 3, Batch: true, Seed: 99,
+			Collectors: 3, Seed: 99,
 		})
 		if err != nil {
 			t.Fatal(err)

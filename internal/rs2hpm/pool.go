@@ -1,12 +1,12 @@
 package rs2hpm
 
 // CollectorPool: persistent connections for sustained collection. The
-// paper's collector dialed every daemon afresh each 10-minute sweep —
-// fine at cron cadence, but a sustained service re-dialing the fleet
-// every few milliseconds spends its time in TCP handshakes. The pool
-// keeps a bounded number of idle connections per daemon, health-checks a
-// connection before reuse, and re-dials on demand with the same
-// Retries/Backoff discipline the sweep-level collector already uses.
+// paper's collector dialed every daemon afresh each sweep, once per
+// sample period (the simulator's 900 s) — fine at cron cadence, but a
+// sustained service re-dialing the fleet every few milliseconds spends
+// its time in TCP handshakes. The pool keeps a bounded number of idle
+// connections per daemon, health-checks a connection before reuse, and
+// re-dials on demand with the Service's Retries/Backoff discipline.
 
 import (
 	"fmt"
@@ -134,13 +134,6 @@ func (p *CollectorPool) Discard(c *Client) {
 	}
 	telPoolDiscards.Inc()
 	c.Close()
-}
-
-// IdleCount reports the idle connections currently pooled for addr.
-func (p *CollectorPool) IdleCount(addr string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle[addr])
 }
 
 // Close closes every idle connection and rejects further Gets.

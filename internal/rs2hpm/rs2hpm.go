@@ -3,11 +3,14 @@
 // parallel extensions. It consists of
 //
 //   - a per-host daemon that serves hardware-counter snapshots over TCP
-//     (the real rs2hpmd, reached by a cron script every 15 minutes);
+//     (the real rs2hpmd, swept by a cron script once per sample period,
+//     the simulator's 900 s);
 //   - a client speaking the daemon's line protocol;
-//   - a collector that samples a set of daemons and accumulates a
-//     time-series of snapshots, wrap-correcting 32-bit counters between
-//     samples.
+//   - one collection path, Service: each SweepOnce reads every node of
+//     every daemon through Client.BatchCounters (one MGET round-trip on
+//     a v2 daemon, single-GET reads on a v1 one) into a SampleLog of
+//     wrap-corrected 64-bit snapshots. The paper's cron sweep is a
+//     one-address Service swept once per period.
 //
 // The kernel extension of the original is replaced by direct access to
 // the simulated SCU monitor; everything from the wire up is real code
@@ -25,7 +28,6 @@ import (
 	"sync"
 
 	"repro/internal/hpm"
-	"repro/internal/simclock"
 )
 
 // Source provides extended counter totals for one node. node.Node
@@ -46,7 +48,7 @@ type Armer interface {
 // TrySource is the optional extension a Source may implement when its
 // reads can fail (a flaky kernel extension, an injected fault schedule —
 // see faults.UnreliableSource). The daemon prefers TryCounters when
-// available and turns a failure into an ERR response, which the collector
+// available and turns a failure into an ERR response, which the Service
 // retries and, past its retry budget, gap-marks.
 type TrySource interface {
 	TryCounters() (hpm.Counts64, error)
@@ -444,7 +446,7 @@ type Sample struct {
 	Snap      hpm.Counts64
 }
 
-// Gap marks a scheduled sample that was never captured: the collector
+// Gap marks a scheduled sample that was never captured: the Service
 // records one when a node read fails past its retry budget, so the
 // record is explicit about what is missing instead of silently shorter.
 type Gap struct {
@@ -454,7 +456,7 @@ type Gap struct {
 }
 
 // SampleLog accumulates samples and answers wrap-corrected delta queries.
-// It is the in-memory form of the files the 15-minute cron job wrote.
+// It is the in-memory form of the files the cron sweep wrote.
 type SampleLog struct {
 	mu      sync.Mutex
 	samples map[int][]Sample // guarded by mu; per node, in time order
@@ -588,113 +590,4 @@ func (l *SampleLog) DeltaOverReport(node int, t0, t1 float64) (d hpm.Delta, cove
 		return hpm.Delta{}, 0, resets, false
 	}
 	return d, covered, resets, true
-}
-
-// CollectorConfig tunes the collector's handling of failed node reads.
-// The zero value retries nothing and gap-marks on the first failure.
-type CollectorConfig struct {
-	// Retries is how many extra attempts a failed node read gets within
-	// one sweep before the sample is abandoned and gap-marked.
-	Retries int
-	// Backoff, when non-nil, runs before retry attempt k (1-based) — the
-	// hook for a sleep, a simulated-clock wait, or test instrumentation.
-	Backoff func(attempt int)
-}
-
-// Collector samples a daemon's nodes into a log.
-type Collector struct {
-	addr string
-	log  *SampleLog
-	cfg  CollectorConfig
-}
-
-// NewCollector builds a collector for the daemon at addr with no retry
-// budget (every read failure becomes a gap).
-func NewCollector(addr string, log *SampleLog) *Collector {
-	return NewCollectorConfig(addr, log, CollectorConfig{})
-}
-
-// NewCollectorConfig builds a collector with explicit failure handling.
-func NewCollectorConfig(addr string, log *SampleLog, cfg CollectorConfig) *Collector {
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	return &Collector{addr: addr, log: log, cfg: cfg}
-}
-
-// CollectOnce dials the daemon, samples every node it serves, and appends
-// the samples stamped with atSeconds. It is the body of the cron script.
-// A node whose read keeps failing past the retry budget does not abort
-// the sweep: the miss is gap-marked in the log, the remaining nodes are
-// still sampled, and the returned error summarises the abandoned reads.
-func (c *Collector) CollectOnce(atSeconds float64) error {
-	telSweeps.Inc()
-	cl, err := Dial(c.addr)
-	if err != nil {
-		telSweepErrors.Inc()
-		return err
-	}
-	defer cl.Close()
-	ids, err := cl.Nodes()
-	if err != nil {
-		telSweepErrors.Inc()
-		return err
-	}
-	var abandoned []int
-	for _, id := range ids {
-		snap, err := c.readWithRetry(cl, id)
-		if err != nil {
-			c.log.AddGap(Gap{AtSeconds: atSeconds, Node: id, Reason: err.Error()})
-			telGaps.Inc()
-			abandoned = append(abandoned, id)
-			continue
-		}
-		if err := c.log.Add(Sample{AtSeconds: atSeconds, Node: id, Snap: snap}); err != nil {
-			telSweepErrors.Inc()
-			return err
-		}
-		telSamples.Inc()
-	}
-	if len(abandoned) > 0 {
-		telSweepErrors.Inc()
-		return fmt.Errorf("rs2hpm: sweep at %vs gap-marked %d node read(s) %v after %d attempt(s) each",
-			atSeconds, len(abandoned), abandoned, c.cfg.Retries+1)
-	}
-	return nil
-}
-
-// readWithRetry reads one node's counters, retrying with backoff up to
-// the configured budget.
-func (c *Collector) readWithRetry(cl *Client, id int) (hpm.Counts64, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			telRetries.Inc()
-			if c.cfg.Backoff != nil {
-				telBackoffs.Inc()
-				c.cfg.Backoff(attempt)
-			}
-		}
-		snap, err := cl.Counters(id)
-		if err == nil {
-			return snap, nil
-		}
-		lastErr = err
-	}
-	return hpm.Counts64{}, fmt.Errorf("rs2hpm: collect node %d: %w", id, lastErr)
-}
-
-// Schedule wires the collector to a simulation clock at the given period
-// (the 15-minute cron job). onErr receives collection failures; a nil
-// onErr panics on failure, since a silently broken collector would fake
-// machine idleness. It returns the stop function.
-func (c *Collector) Schedule(clock *simclock.Clock, period simclock.Time, onErr func(error)) (stop func()) {
-	return clock.Every(period, period, func(at simclock.Time) {
-		if err := c.CollectOnce(at.Seconds()); err != nil {
-			if onErr == nil {
-				panic(fmt.Sprintf("rs2hpm: scheduled collection failed: %v", err))
-			}
-			onErr(err)
-		}
-	})
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/hpm"
-	"repro/internal/simclock"
 )
 
 // fakeSource is a Source with a settable monitor.
@@ -45,6 +44,20 @@ func startDaemon(t *testing.T, sources ...Source) (*Daemon, string) {
 	}
 	t.Cleanup(d.Close)
 	return d, addr
+}
+
+// newSweeper builds a one-address Service over addr, the shape of the
+// paper's cron sweep, closed when the test ends. Tests Close it
+// themselves before reading the log: Close drains the ingest queue.
+func newSweeper(t *testing.T, addr string, cfg ServiceConfig, log *SampleLog) *Service {
+	t.Helper()
+	cfg.Addrs = []string{addr}
+	svc, err := NewService(cfg, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	return svc
 }
 
 func TestNodesListing(t *testing.T) {
@@ -242,20 +255,22 @@ func TestSampleLogInsufficientWindow(t *testing.T) {
 }
 
 func TestCollectorEndToEnd(t *testing.T) {
-	// The full path: simulated nodes -> daemon -> TCP -> collector -> log.
+	// The full path: simulated nodes -> daemon -> TCP -> one-address
+	// Service -> log.
 	a, b := newFakeSource(0), newFakeSource(1)
 	_, addr := startDaemon(t, a, b)
 	log := NewSampleLog()
-	col := NewCollector(addr, log)
+	svc := newSweeper(t, addr, ServiceConfig{}, log)
 
-	if err := col.CollectOnce(0); err != nil {
+	if err := svc.SweepOnce(0); err != nil {
 		t.Fatal(err)
 	}
 	a.add(hpm.EvFXU0Instr, 500)
 	b.add(hpm.EvFXU1Instr, 700)
-	if err := col.CollectOnce(900); err != nil {
+	if err := svc.SweepOnce(900); err != nil {
 		t.Fatal(err)
 	}
+	svc.Close()
 
 	if got := log.Nodes(); len(got) != 2 {
 		t.Fatalf("nodes = %v", got)
@@ -274,9 +289,14 @@ func TestCollectorEndToEnd(t *testing.T) {
 }
 
 func TestCollectorBadAddress(t *testing.T) {
-	col := NewCollector("127.0.0.1:1", NewSampleLog())
-	if err := col.CollectOnce(0); err == nil {
-		t.Fatal("collect from dead address succeeded")
+	svc := newSweeper(t, "127.0.0.1:1", ServiceConfig{}, NewSampleLog())
+	if err := svc.SweepOnce(0); err == nil {
+		t.Fatal("sweep of a dead address succeeded")
+	}
+	svc.Close()
+	// The node list was never known: a whole-sweep failure, no rows.
+	if l := svc.Ledger(); l.SweepFailures != 1 || l.Offered != 0 {
+		t.Fatalf("dead address ledger %+v, want 1 sweep failure and nothing offered", l)
 	}
 }
 
@@ -406,53 +426,12 @@ func TestArmRejectsNonArmerSource(t *testing.T) {
 	}
 }
 
-func TestScheduledCollection(t *testing.T) {
-	src := newFakeSource(0)
-	_, addr := startDaemon(t, src)
-	log := NewSampleLog()
-	col := NewCollector(addr, log)
-
-	var clock simclock.Clock
-	stop := col.Schedule(&clock, simclock.Minutes(15), nil)
-	// Counter activity between cron firings.
-	clock.At(simclock.Minutes(5), func() { src.add(hpm.EvCycles, 1000) })
-	clock.At(simclock.Minutes(20), func() { src.add(hpm.EvCycles, 2000) })
-	clock.RunUntil(simclock.Minutes(45))
-	stop()
-	clock.Run()
-
-	if got := log.Len(0); got != 3 {
-		t.Fatalf("samples = %d, want 3 (15/30/45 min)", got)
-	}
-	d, secs, ok := log.DeltaOver(0, 0, simclock.Minutes(45).Seconds())
-	if !ok || secs != 1800 {
-		t.Fatalf("window = %v ok=%v", secs, ok)
-	}
-	if got := d.Get(hpm.User, hpm.EvCycles); got != 2000 {
-		t.Fatalf("delta over 15..45 min = %d, want 2000", got)
-	}
-}
-
-func TestScheduledCollectionErrorHandler(t *testing.T) {
-	// Collector pointed at a dead address: the error handler is invoked,
-	// the simulation continues.
-	col := NewCollector("127.0.0.1:1", NewSampleLog())
-	var clock simclock.Clock
-	errs := 0
-	stop := col.Schedule(&clock, simclock.Minutes(15), func(error) { errs++ })
-	clock.RunUntil(simclock.Minutes(30))
-	stop()
-	clock.Run()
-	if errs != 2 {
-		t.Fatalf("error handler invoked %d times, want 2", errs)
-	}
-}
-
-// TestCollectorConcurrentWithSimulation runs the 15-minute collector loop
-// against a daemon whose sources are being driven hard by a "simulation"
-// goroutine, while new nodes boot mid-campaign. This is the deployment
-// shape of the paper's measurement stack; under -race it pins the
-// daemon's source-table and the log's sample-table locking.
+// TestCollectorConcurrentWithSimulation runs five 900 s sweeps of a
+// one-address Service against a daemon whose sources are being driven
+// hard by a "simulation" goroutine, while new nodes boot mid-campaign.
+// This is the deployment shape of the paper's measurement stack; under
+// -race it pins the daemon's source-table and the log's sample-table
+// locking.
 func TestCollectorConcurrentWithSimulation(t *testing.T) {
 	srcs := make([]*fakeSource, 4)
 	sources := make([]Source, 4)
@@ -485,14 +464,15 @@ func TestCollectorConcurrentWithSimulation(t *testing.T) {
 	}()
 
 	log := NewSampleLog()
-	col := NewCollector(addr, log)
+	svc := newSweeper(t, addr, ServiceConfig{}, log)
 	for tick := 1; tick <= 5; tick++ {
-		if err := col.CollectOnce(float64(tick) * 900); err != nil {
+		if err := svc.SweepOnce(float64(tick) * 900); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
+	svc.Close()
 	if got := len(log.Nodes()); got < 4 {
 		t.Fatalf("collected %d nodes, want >= 4", got)
 	}

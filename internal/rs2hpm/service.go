@@ -1,13 +1,14 @@
 package rs2hpm
 
-// Service: the sustained-collection successor to the cron sweep. The
-// paper's collector was a script: dial, read every node, write a file,
-// exit, sleep ten minutes. A collection service keeping up with a fleet
-// holds its connections (CollectorPool), collects a full sample set per
-// round-trip (MGET, with single-GET fallback for old daemons), and
-// decouples the network side from the log with a bounded ingestion queue
-// (IngestQueue). The service's ledger accounts for every scheduled node
-// read exactly once:
+// Service: the one collection path. The paper's collector was a cron
+// script: dial, read every node, write a file, exit, sleep one sample
+// period (the simulator's 900 s). That script is a one-address Service
+// swept once per period. Swept continuously over a fleet, the same
+// Service holds its connections (CollectorPool), collects a full sample
+// set per round-trip (Client.BatchCounters: MGET, with single-GET
+// fallback for v1 daemons), and decouples the network side from the log
+// with a bounded ingestion queue (IngestQueue). The service's ledger
+// accounts for every scheduled node read exactly once:
 //
 //	offered == captured + gapped + dropped + rejected
 //
@@ -34,10 +35,6 @@ type ServiceConfig struct {
 	// Collectors is the number of concurrent sweep workers fanning over
 	// Addrs; zero selects min(len(Addrs), 4).
 	Collectors int
-	// Batch collects each daemon with one MGET round-trip per sweep,
-	// falling back per-daemon to single-GET against v1 daemons. Off, the
-	// service sweeps node by node like the original collector.
-	Batch bool
 	// Retries is the per-node read retry budget within a sweep (after a
 	// batched read, failed nodes are retried individually).
 	Retries int
@@ -131,9 +128,6 @@ func NewService(cfg ServiceConfig, log *SampleLog) (*Service, error) {
 	}, nil
 }
 
-// Log exposes the sample log the service ingests into.
-func (s *Service) Log() *SampleLog { return s.log }
-
 // SweepOnce runs one fleet-wide sweep stamped atSeconds: every daemon's
 // nodes read once, fanned across the configured collector workers. It
 // returns an error summarising daemon-level failures; per-node misses are
@@ -206,40 +200,22 @@ func (s *Service) sweepDaemon(addr string, atSeconds float64) error {
 	}
 	s.offered.Add(uint64(len(ids)))
 
-	var entries []BatchEntry
-	if s.cfg.Batch {
-		entries, err = cl.BatchCounters(ids)
-		if err != nil {
-			// Transport/framing failure mid-batch: the connection is
-			// poisoned and nothing landed. Gap-mark the whole schedule —
-			// the reads were offered and are now unknowable.
-			s.pool.Discard(cl)
-			for _, id := range ids {
-				s.gapMark(id, atSeconds, err)
-			}
-			return err
-		}
-	} else {
-		entries = make([]BatchEntry, 0, len(ids))
+	entries, err := cl.BatchCounters(ids)
+	if err != nil {
+		// Transport/framing failure mid-batch: the connection is
+		// poisoned and nothing landed. Gap-mark the whole schedule —
+		// the reads were offered and are now unknowable.
+		s.pool.Discard(cl)
 		for _, id := range ids {
-			snap, rerr := cl.Counters(id)
-			entries = append(entries, BatchEntry{Node: id, Snap: snap, Err: rerr})
-			if rerr != nil && !errors.Is(rerr, errProtocol) {
-				// Transport failure: remaining reads are unknowable.
-				for _, rest := range ids[len(entries):] {
-					entries = append(entries, BatchEntry{Node: rest, Err: rerr})
-				}
-				s.pool.Discard(cl)
-				cl = nil
-				break
-			}
+			s.gapMark(id, atSeconds, err)
 		}
+		return err
 	}
 
 	// Retry failed entries individually within the budget, then offer
 	// everything that survived to the ingestion queue.
 	for _, e := range entries {
-		if e.Err != nil && cl != nil {
+		if e.Err != nil {
 			e.Snap, e.Err = s.retryRead(cl, e.Node, e.Err)
 		}
 		if e.Err != nil {
@@ -248,9 +224,7 @@ func (s *Service) sweepDaemon(addr string, atSeconds float64) error {
 		}
 		s.q.Offer(Sample{AtSeconds: atSeconds, Node: e.Node, Snap: e.Snap})
 	}
-	if cl != nil {
-		s.pool.Put(cl)
-	}
+	s.pool.Put(cl)
 	return nil
 }
 
@@ -296,12 +270,6 @@ func (s *Service) Ledger() ServiceLedger {
 		Rejected:      qs.Rejected,
 	}
 }
-
-// Pool exposes the connection pool (for stats and tests).
-func (s *Service) Pool() *CollectorPool { return s.pool }
-
-// Queue exposes the ingestion queue (for stats and tests).
-func (s *Service) Queue() *IngestQueue { return s.q }
 
 // Close shuts the service down: no further sweeps, queue drained into
 // the log, pooled connections closed. Idempotent; safe after failed

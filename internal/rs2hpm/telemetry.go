@@ -2,9 +2,10 @@ package rs2hpm
 
 // hpmtel instrumentation for the collection path — the reproduction of
 // the paper's own self-measurement ethos applied to the measurement tools
-// themselves: how many sweeps and samples the collector performed, how
-// often it retried, backed off or gap-marked, and the bytes the line
-// protocol moved on the wire (both directions, both ends).
+// themselves: how often a read was retried, backed off or gap-marked, and
+// the bytes the line protocol moved on the wire (both directions, both
+// ends). The sweep and sample counts are the service's and the ingest
+// queue's (rs2hpm.service.*, rs2hpm.ingest.*).
 
 import (
 	"io"
@@ -13,13 +14,10 @@ import (
 )
 
 var (
-	telCollector   = telemetry.Default.Scope("rs2hpm.collector")
-	telSweeps      = telCollector.Counter("sweeps")
-	telSweepErrors = telCollector.Counter("sweep_errors")
-	telSamples     = telCollector.Counter("samples")
-	telGaps        = telCollector.Counter("gaps")
-	telRetries     = telCollector.Counter("retries")
-	telBackoffs    = telCollector.Counter("backoffs")
+	telCollector = telemetry.Default.Scope("rs2hpm.collector")
+	telGaps      = telCollector.Counter("gaps")
+	telRetries   = telCollector.Counter("retries")
+	telBackoffs  = telCollector.Counter("backoffs")
 
 	telClient          = telemetry.Default.Scope("rs2hpm.client")
 	telClientDials     = telClient.Counter("dials")

@@ -128,33 +128,10 @@ func (c *Clock) After(d Time, fn func()) *Event {
 	return c.At(c.now+d, fn)
 }
 
-// Every schedules fn at t, t+period, t+2*period, ... until the returned
-// stop function is called. fn receives the firing time.
-func (c *Clock) Every(start Time, period Time, fn func(Time)) (stop func()) {
-	if period <= 0 {
-		panic(fmt.Sprintf("simclock: non-positive period %v", period))
-	}
-	stopped := false
-	var schedule func(Time)
-	schedule = func(at Time) {
-		c.At(at, func() {
-			if stopped {
-				return
-			}
-			fn(c.now)
-			if !stopped {
-				schedule(c.now + period)
-			}
-		})
-	}
-	schedule(start)
-	return func() { stopped = true }
-}
-
 // EveryUntil schedules fn at start, start+period, ... for every firing
-// time not after limit. Unlike Every it needs no stop function and never
-// enqueues an event past limit — the shape a fixed-horizon sampler wants:
-// when the last tick has run, the queue holds nothing of the ticker's.
+// time not after limit. It never enqueues an event past limit — the
+// shape a fixed-horizon sampler wants: when the last tick has run, the
+// queue holds nothing of the ticker's.
 func (c *Clock) EveryUntil(start, period, limit Time, fn func(Time)) {
 	if period <= 0 {
 		panic(fmt.Sprintf("simclock: non-positive period %v", period))

@@ -137,55 +137,6 @@ func TestRunUntilInclusiveBoundary(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
-	var c Clock
-	var fires []Time
-	stop := c.Every(Minutes(15), Minutes(15), func(at Time) {
-		fires = append(fires, at)
-		if len(fires) == 4 {
-			// stop is captured below; canceling from inside the callback.
-		}
-	})
-	c.RunUntil(Minutes(60))
-	stop()
-	c.Run()
-	if len(fires) != 4 {
-		t.Fatalf("fires = %v, want 4 firings in the first hour", fires)
-	}
-	for i, f := range fires {
-		want := Minutes(15 * float64(i+1))
-		if f != want {
-			t.Fatalf("fire %d at %v, want %v", i, f, want)
-		}
-	}
-}
-
-func TestEveryStopInsideCallback(t *testing.T) {
-	var c Clock
-	count := 0
-	var stop func()
-	stop = c.Every(Time(1), Time(1), func(Time) {
-		count++
-		if count == 3 {
-			stop()
-		}
-	})
-	c.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-}
-
-func TestEveryPanicsOnBadPeriod(t *testing.T) {
-	var c Clock
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero period did not panic")
-		}
-	}()
-	c.Every(Time(0), Time(0), func(Time) {})
-}
-
 func TestAdvanceTo(t *testing.T) {
 	var c Clock
 	c.AdvanceTo(Time(100))

@@ -431,10 +431,11 @@ func TestJournalFailedAppend(t *testing.T) {
 }
 
 // FuzzCheckpointDecode: the decoder fronts files users hand to -resume,
-// so arbitrary bytes must produce an error, never a panic, and anything
-// it accepts must survive an encode/decode cycle unchanged (a drifting
-// checkpoint would silently corrupt a resumed campaign). Each input is
-// read both as a plain and as a gzip journal.
+// so arbitrary bytes must produce an error classified as ErrVersion or
+// ErrCorrupt, never a panic, and anything it accepts must survive an
+// encode/decode cycle unchanged (a drifting checkpoint would silently
+// corrupt a resumed campaign). Each input is read both as a plain and as
+// a gzip journal.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Hand seeds covering the header's edges; the committed corpus under
 	// testdata/fuzz adds whole journals — valid, torn, with flipped CRCs,
@@ -451,7 +452,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 		for _, gz := range []bool{false, true} {
 			cp, _, err := decodeCheckpoint(data, gz)
 			if err != nil {
-				continue // rejected input; the only requirement is not panicking
+				if !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("gz=%v: decode error escaped classification: %v", gz, err)
+				}
+				continue
 			}
 			again, _, err := decodeCheckpoint(encodeCheckpoint(t, cp, gz), gz)
 			if err != nil {
