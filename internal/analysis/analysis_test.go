@@ -434,16 +434,6 @@ func TestNPBSuite(t *testing.T) {
 	}
 }
 
-func TestNPBSuiteDeterministic(t *testing.T) {
-	a := MeasureNPBSuite(2, 100_000)
-	b := MeasureNPBSuite(2, 100_000)
-	for i := range a.Rows {
-		if a.Rows[i] != b.Rows[i] {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-}
-
 func TestFigure4ForOtherNodeCounts(t *testing.T) {
 	r := campaign(t)
 	// "Similar trends occur for other processor counts": the 8- and
