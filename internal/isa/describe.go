@@ -49,23 +49,30 @@ func (m Mix) FlopsPerMemRef() float64 {
 func Describe(s Stream, n uint64) Mix {
 	m := Mix{ByOp: make(map[Op]uint64)}
 	pcs := make(map[uint64]struct{})
-	var in Instr
+	var buf [64]Instr
 	first := true
-	for m.Instructions < n && s.Next(&in) {
-		m.Instructions++
-		m.ByOp[in.Op]++
-		m.Flops += uint64(in.Op.Flops())
-		pcs[in.PC] = struct{}{}
-		if in.Op.IsMemory() {
-			m.MemRefs++
-			m.MemBytes += uint64(in.Op.MemBytes())
-			if first || in.Addr < m.MinAddr {
-				m.MinAddr = in.Addr
+	for m.Instructions < n {
+		blk := buf[:min(uint64(len(buf)), n-m.Instructions)]
+		k := s.Fill(blk)
+		if k == 0 {
+			break
+		}
+		for _, in := range blk[:k] {
+			m.Instructions++
+			m.ByOp[in.Op]++
+			m.Flops += uint64(in.Op.Flops())
+			pcs[in.PC] = struct{}{}
+			if in.Op.IsMemory() {
+				m.MemRefs++
+				m.MemBytes += uint64(in.Op.MemBytes())
+				if first || in.Addr < m.MinAddr {
+					m.MinAddr = in.Addr
+				}
+				if first || in.Addr > m.MaxAddr {
+					m.MaxAddr = in.Addr
+				}
+				first = false
 			}
-			if first || in.Addr > m.MaxAddr {
-				m.MaxAddr = in.Addr
-			}
-			first = false
 		}
 	}
 	m.DistinctPCs = len(pcs)

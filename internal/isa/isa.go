@@ -164,10 +164,14 @@ func (in Instr) String() string {
 	return in.Op.String()
 }
 
-// Stream produces a sequence of dynamic instructions. Next fills *in and
-// reports whether an instruction was produced; false means end of stream.
+// Stream produces a sequence of dynamic instructions a block at a time.
+// Fill writes the stream's next instructions into buf, at most len(buf)
+// of them, and returns how many it wrote; 0 means the stream has ended
+// (or buf is empty). A stream may write fewer than len(buf) without
+// having ended, and it resumes where the last call stopped, so filling
+// in blocks of any length yields the same sequence.
 type Stream interface {
-	Next(in *Instr) bool
+	Fill(buf []Instr) int
 }
 
 // SliceStream replays a fixed slice of instructions once.
@@ -181,66 +185,15 @@ func NewSliceStream(instrs []Instr) *SliceStream {
 	return &SliceStream{instrs: instrs}
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next(in *Instr) bool {
-	if s.pos >= len(s.instrs) {
-		return false
-	}
-	*in = s.instrs[s.pos]
-	s.pos++
-	return true
+// Fill implements Stream.
+func (s *SliceStream) Fill(buf []Instr) int {
+	n := copy(buf, s.instrs[s.pos:])
+	s.pos += n
+	return n
 }
 
 // Reset rewinds the stream to the beginning.
 func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Limit wraps a stream, truncating it after n instructions.
-type Limit struct {
-	Inner Stream
-	N     uint64
-	seen  uint64
-}
-
-// NewLimit returns a stream producing at most n instructions from inner.
-func NewLimit(inner Stream, n uint64) *Limit { return &Limit{Inner: inner, N: n} }
-
-// Next implements Stream.
-func (l *Limit) Next(in *Instr) bool {
-	if l.seen >= l.N {
-		return false
-	}
-	if !l.Inner.Next(in) {
-		return false
-	}
-	l.seen++
-	return true
-}
-
-// Concat chains streams end to end.
-type Concat struct {
-	streams []Stream
-	idx     int
-}
-
-// NewConcat returns a stream producing each input stream in order.
-func NewConcat(streams ...Stream) *Concat { return &Concat{streams: streams} }
-
-// Next implements Stream.
-func (c *Concat) Next(in *Instr) bool {
-	for c.idx < len(c.streams) {
-		if c.streams[c.idx].Next(in) {
-			return true
-		}
-		c.idx++
-	}
-	return false
-}
-
-// Func adapts a generator function to the Stream interface.
-type Func func(in *Instr) bool
-
-// Next implements Stream.
-func (f Func) Next(in *Instr) bool { return f(in) }
 
 // Cycle produces an endless stream that runs each factory's stream to
 // exhaustion in rotation, recreating it on every revisit. It models a
@@ -260,29 +213,34 @@ func NewCycle(factories ...func() Stream) *Cycle {
 	return &Cycle{factories: factories}
 }
 
-// Next implements Stream. A factory returning an empty stream is skipped;
-// if every factory yields empty streams the cycle ends (avoids spinning).
-func (c *Cycle) Next(in *Instr) bool {
+// Fill implements Stream. A block ends at a phase boundary; the next
+// phase's stream is created only when an instruction from it is asked
+// for. A factory returning an empty stream is skipped; if every factory
+// yields empty streams the cycle ends (avoids spinning).
+func (c *Cycle) Fill(buf []Instr) int {
 	for tries := 0; tries <= len(c.factories); tries++ {
 		if c.cur == nil {
 			c.cur = c.factories[c.idx%len(c.factories)]()
 			c.idx++
 		}
-		if c.cur.Next(in) {
-			return true
+		if n := c.cur.Fill(buf); n > 0 {
+			return n
 		}
 		c.cur = nil
 	}
-	return false
+	return 0
 }
 
 // Count drains the stream and returns the number of instructions produced.
 // It is a test helper; production code runs streams through the CPU model.
 func Count(s Stream) uint64 {
-	var in Instr
+	var buf [64]Instr
 	var n uint64
-	for s.Next(&in) {
-		n++
+	for {
+		k := s.Fill(buf[:])
+		if k == 0 {
+			return n
+		}
+		n += uint64(k)
 	}
-	return n
 }

@@ -121,78 +121,20 @@ func TestInstrString(t *testing.T) {
 }
 
 func TestSliceStream(t *testing.T) {
-	instrs := []Instr{MakeInstr(OpFAdd), MakeInstr(OpFMul)}
+	instrs := []Instr{MakeInstr(OpFAdd), MakeInstr(OpFMul), MakeInstr(OpFMA)}
 	s := NewSliceStream(instrs)
-	var in Instr
-	if !s.Next(&in) || in.Op != OpFAdd {
-		t.Fatal("first Next wrong")
+	buf := make([]Instr, 2)
+	if n := s.Fill(buf); n != 2 || buf[0].Op != OpFAdd || buf[1].Op != OpFMul {
+		t.Fatalf("first Fill = %d %v", n, buf)
 	}
-	if !s.Next(&in) || in.Op != OpFMul {
-		t.Fatal("second Next wrong")
+	if n := s.Fill(buf); n != 1 || buf[0].Op != OpFMA {
+		t.Fatalf("second Fill = %d %v, want the last instruction", n, buf[:n])
 	}
-	if s.Next(&in) {
+	if s.Fill(buf) != 0 {
 		t.Fatal("stream did not end")
 	}
 	s.Reset()
-	if Count(s) != 2 {
+	if Count(s) != 3 {
 		t.Fatal("Reset did not rewind")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	body := []Instr{MakeInstr(OpFAdd)}
-	l := NewLimit(NewLoop(body, nil, 1000, 0), 7)
-	if got := Count(l); got != 7 {
-		t.Fatalf("Limit produced %d, want 7", got)
-	}
-}
-
-func TestLimitShorterInner(t *testing.T) {
-	s := NewSliceStream([]Instr{MakeInstr(OpFAdd)})
-	l := NewLimit(s, 100)
-	if got := Count(l); got != 1 {
-		t.Fatalf("Limit over short stream produced %d, want 1", got)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := NewSliceStream([]Instr{MakeInstr(OpFAdd)})
-	b := NewSliceStream([]Instr{MakeInstr(OpFMul), MakeInstr(OpFMA)})
-	c := NewConcat(a, b)
-	var ops []Op
-	var in Instr
-	for c.Next(&in) {
-		ops = append(ops, in.Op)
-	}
-	want := []Op{OpFAdd, OpFMul, OpFMA}
-	if len(ops) != len(want) {
-		t.Fatalf("ops = %v", ops)
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("ops = %v", ops)
-		}
-	}
-}
-
-func TestConcatEmpty(t *testing.T) {
-	var in Instr
-	if NewConcat().Next(&in) {
-		t.Fatal("empty Concat produced an instruction")
-	}
-}
-
-func TestFuncStream(t *testing.T) {
-	n := 0
-	f := Func(func(in *Instr) bool {
-		if n >= 3 {
-			return false
-		}
-		*in = MakeInstr(OpBranch)
-		n++
-		return true
-	})
-	if Count(f) != 3 {
-		t.Fatal("Func stream miscounted")
 	}
 }

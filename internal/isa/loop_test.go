@@ -1,9 +1,28 @@
 package isa
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// take fills from s in blocks of uneven length until it has n
+// instructions or the stream ends.
+func take(s Stream, n int) []Instr {
+	var out []Instr
+	var buf [7]Instr
+	for len(out) < n {
+		k := s.Fill(buf[:min(len(buf), n-len(out))])
+		if k == 0 {
+			break
+		}
+		out = append(out, buf[:k]...)
+	}
+	return out
+}
+
+// drain collects every instruction of a finite stream.
+func drain(s Stream) []Instr { return take(s, math.MaxInt) }
 
 func TestLoopIterationAndCount(t *testing.T) {
 	body := []Instr{MakeInstr(OpFAdd), MakeInstr(OpBranch)}
@@ -20,8 +39,7 @@ func TestLoopPCsAreSequentialAndStable(t *testing.T) {
 	body := []Instr{MakeInstr(OpFAdd), MakeInstr(OpFMul), MakeInstr(OpBranch)}
 	l := NewLoop(body, nil, 2, 0x1000)
 	var pcs []uint64
-	var in Instr
-	for l.Next(&in) {
+	for _, in := range drain(l) {
 		pcs = append(pcs, in.PC)
 	}
 	want := []uint64{0x1000, 0x1004, 0x1008, 0x1000, 0x1004, 0x1008}
@@ -37,8 +55,7 @@ func TestLoopStridedAddresses(t *testing.T) {
 	refs := []Ref{{Base: 0x2000, Stride: 8}}
 	l := NewLoop(body, refs, 4, 0)
 	var addrs []uint64
-	var in Instr
-	for l.Next(&in) {
+	for _, in := range drain(l) {
 		addrs = append(addrs, in.Addr)
 	}
 	want := []uint64{0x2000, 0x2008, 0x2010, 0x2018}
@@ -54,8 +71,7 @@ func TestLoopWorkingSetWraps(t *testing.T) {
 	refs := []Ref{{Base: 0x4000, Stride: 8, WorkingSet: 16}}
 	l := NewLoop(body, refs, 4, 0)
 	var addrs []uint64
-	var in Instr
-	for l.Next(&in) {
+	for _, in := range drain(l) {
 		addrs = append(addrs, in.Addr)
 	}
 	want := []uint64{0x4000, 0x4008, 0x4000, 0x4008}
@@ -70,8 +86,7 @@ func TestLoopNegativeStrideWithWorkingSet(t *testing.T) {
 	body := []Instr{MakeInstr(OpLoad)}
 	refs := []Ref{{Base: 0x4000, Stride: -8, WorkingSet: 32}}
 	l := NewLoop(body, refs, 5, 0)
-	var in Instr
-	for l.Next(&in) {
+	for _, in := range drain(l) {
 		if in.Addr < 0x4000-32 || in.Addr > 0x4000+32 {
 			t.Fatalf("negative-stride address escaped working set: %#x", in.Addr)
 		}
@@ -82,9 +97,8 @@ func TestLoopAddrFnOverrides(t *testing.T) {
 	body := []Instr{MakeInstr(OpLoad)}
 	refs := []Ref{{Base: 0x1, Stride: 1, AddrFn: func(iter uint64) uint64 { return 0x9000 + iter*4096 }}}
 	l := NewLoop(body, refs, 3, 0)
-	var in Instr
-	for i := uint64(0); l.Next(&in); i++ {
-		if in.Addr != 0x9000+i*4096 {
+	for i, in := range drain(l) {
+		if in.Addr != 0x9000+uint64(i)*4096 {
 			t.Fatalf("AddrFn ignored: %#x at iter %d", in.Addr, i)
 		}
 	}
@@ -96,8 +110,7 @@ func TestLoopNonMemorySlotsKeepTemplateAddr(t *testing.T) {
 	body := []Instr{add}
 	refs := []Ref{{Base: 0x1000, Stride: 8}}
 	l := NewLoop(body, refs, 1, 0)
-	var in Instr
-	l.Next(&in)
+	in := drain(l)[0]
 	if in.Addr != 0xdead {
 		t.Fatalf("non-memory instruction address rewritten: %#x", in.Addr)
 	}
@@ -128,8 +141,7 @@ func TestNewLoopCopiesInputs(t *testing.T) {
 	l := NewLoop(body, refs, 2, 0)
 	body[0].Op = OpStore
 	refs[0].Base = 0x9999
-	var in Instr
-	l.Next(&in)
+	in := drain(l)[0]
 	if in.Op != OpLoad || in.Addr != 0x1000 {
 		t.Fatalf("loop aliases caller slices: %v @%#x", in.Op, in.Addr)
 	}
@@ -157,8 +169,7 @@ func TestBuilderEmitsExpectedBody(t *testing.T) {
 	}
 	l := b.Build(2, 0)
 	var ops []Op
-	var in Instr
-	for l.Next(&in) {
+	for _, in := range drain(l) {
 		ops = append(ops, in.Op)
 	}
 	if len(ops) != 26 {
@@ -202,14 +213,19 @@ func TestBuilderReusableAfterBuild(t *testing.T) {
 }
 
 func TestRefAddrProperty(t *testing.T) {
-	// With a working set, addresses always stay within [Base, Base+WS).
+	// With a working set, addresses always stay within [Base-WS, Base+WS).
 	f := func(base uint32, stride int8, wsPow uint8, iter uint16) bool {
 		ws := uint64(1) << (4 + wsPow%10)
 		r := Ref{Base: uint64(base), Stride: int64(stride), WorkingSet: ws}
-		a := r.addr(uint64(iter))
+		l := NewLoop([]Instr{MakeInstr(OpLoad)}, []Ref{r}, uint64(iter)+1, 0)
 		lo := int64(base) - int64(ws)
 		hi := int64(base) + int64(ws)
-		return int64(a) >= lo && int64(a) < hi
+		for _, in := range drain(l) {
+			if a := int64(in.Addr); a < lo || a >= hi {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -273,12 +289,11 @@ func TestCycleRotatesFactories(t *testing.T) {
 	}
 	c := NewCycle(mk(OpFAdd), mk(OpFMul))
 	var ops []Op
-	var in Instr
-	for i := 0; i < 8; i++ {
-		if !c.Next(&in) {
-			t.Fatal("cycle ended")
-		}
+	for _, in := range take(c, 8) {
 		ops = append(ops, in.Op)
+	}
+	if len(ops) != 8 {
+		t.Fatal("cycle ended")
 	}
 	want := []Op{OpFAdd, OpFAdd, OpFMul, OpFMul, OpFAdd, OpFAdd, OpFMul, OpFMul}
 	for i := range want {
@@ -291,8 +306,7 @@ func TestCycleRotatesFactories(t *testing.T) {
 func TestCycleAllEmptyEnds(t *testing.T) {
 	empty := func() Stream { return NewSliceStream(nil) }
 	c := NewCycle(empty, empty)
-	var in Instr
-	if c.Next(&in) {
+	if c.Fill(make([]Instr, 4)) != 0 {
 		t.Fatal("cycle of empties produced an instruction")
 	}
 }

@@ -20,7 +20,6 @@
 package kernels
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/isa"
@@ -40,7 +39,7 @@ type Kernel struct {
 	// node layer converts it to switch traffic and DMA transfers.
 	CommBytesPerFlop float64
 	// New returns a fresh, effectively unbounded instruction stream.
-	// Callers bound it with isa.NewLimit.
+	// Callers bound it with power2.CPU.RunLimited.
 	New func(seed uint64) isa.Stream
 }
 
@@ -366,32 +365,6 @@ func Paging() Kernel {
 			return b.Build(unbounded, 0x60000)
 		},
 	}
-}
-
-// interleave produces a stream that alternates nA instructions from a with
-// nB instructions from b, forever (both inputs must be unbounded).
-func interleave(a isa.Stream, nA int, b isa.Stream, nB int) isa.Stream {
-	if nA <= 0 || nB <= 0 {
-		panic(fmt.Sprintf("kernels: interleave with non-positive counts %d/%d", nA, nB))
-	}
-	phase, taken := 0, 0
-	return isa.Func(func(in *isa.Instr) bool {
-		for {
-			var src isa.Stream
-			var limit int
-			if phase == 0 {
-				src, limit = a, nA
-			} else {
-				src, limit = b, nB
-			}
-			if taken < limit && src.Next(in) {
-				taken++
-				return true
-			}
-			phase = 1 - phase
-			taken = 0
-		}
-	})
 }
 
 // All returns every kernel in a stable order.

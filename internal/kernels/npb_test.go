@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"testing"
-
-	"repro/internal/isa"
-)
+import "testing"
 
 // The NPB analogues are built to the benchmarks' documented performance
 // characters on POWER2-class machines; these tests pin the qualitative
@@ -77,20 +73,16 @@ func TestCGGatherBound(t *testing.T) {
 }
 
 func TestCGGatherDeterministicPerSeed(t *testing.T) {
-	a, b := CG().New(3), CG().New(3)
-	var ia, ib isa.Instr
-	for i := 0; i < 1000; i++ {
-		if !a.Next(&ia) || !b.Next(&ib) || ia != ib {
+	a, b := take(CG().New(3), 1000), take(CG().New(3), 1000)
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("CG stream not deterministic for equal seeds")
 		}
 	}
-	c := CG().New(4)
+	c := take(CG().New(4), 1000)
 	diff := false
-	a2 := CG().New(3)
-	for i := 0; i < 1000; i++ {
-		a2.Next(&ia)
-		c.Next(&ib)
-		if ia.Addr != ib.Addr {
+	for i := range a {
+		if a[i].Addr != c[i].Addr {
 			diff = true
 			break
 		}
