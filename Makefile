@@ -69,9 +69,11 @@ benchdiff:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . | $(GO) run ./cmd/benchjson -o '' -diff BENCH_campaign.json
 
 # Quick smoke: one iteration of the microsim + campaign-day benchmarks,
-# just to prove the bench harness still builds and runs (used by CI).
+# and one op of the per-kernel microsim layer bench, just to prove the
+# bench harnesses still build and run (used by CI).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'CPUSimulation|CampaignDay' -benchtime 1x . | $(GO) run ./cmd/benchjson -o '' -diff BENCH_campaign.json
+	$(GO) test -run '^$$' -bench 'KernelSim' -benchtime 1x ./internal/kernels
 
 # Regression gate: re-run the hot-path benchmarks and enforce the
 # committed tolerances/ratios in BENCH_gates.json against the committed
