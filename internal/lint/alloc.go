@@ -3,8 +3,8 @@ package lint
 // A conservative, syntax-plus-types classifier for heap allocation. It
 // does not re-implement the compiler's escape analysis; it identifies the
 // operations that *may* allocate and errs toward reporting, because the
-// contract it backs (hotalloc) is "the benchmark's AllocsPerRun == 0
-// guard can never regress" — a false positive costs one reviewed
+// contract it backs (hotalloc) is "the AllocsPerRun == 0 tests' guard
+// can never regress" — a false positive costs one reviewed
 // suppression, a false negative costs a silent hot-path regression.
 //
 // One deliberate exemption: allocations inside the arguments of a panic

@@ -1,8 +1,10 @@
 package lint
 
 // hotalloc makes the zero-alloc contracts of PRs 3 and 5 compile-time
-// properties. The POWER2 hot path and the hpmtel counters are guarded at
-// runtime by AllocsPerRun == 0 benchmarks; those fire after the regression
+// properties. The POWER2 hot path, the campaign tick and the hpmtel
+// counters are guarded at runtime by AllocsPerRun == 0 tests
+// (power2's TestRunLimitedAllocFree, workload's TestSerialTickAllocFree,
+// telemetry's TestHotPathAllocations); those fire after the regression
 // runs. hotalloc walks the call graph from every //hpmlint:hotpath
 // declaration and reports each statically-detectable heap operation on the
 // way — escaping composite literals, make/new, growing append, interface
