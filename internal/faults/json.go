@@ -9,9 +9,9 @@ package faults
 // Unmarshal(Marshal(p)) is reflect.DeepEqual to p, nil-ness of every
 // slice included. The decoder validates the geometry invariants the
 // accessors rely on (per-node arrays all present or all absent, per-tick
-// arrays sized nodes*ticks, reset kinds in range), so a decoded plan can
-// never index out of bounds — corrupt trace bytes fail the decode, they
-// do not panic the replay.
+// tables exactly one bit per node-tick, reset kinds in range), so a
+// decoded plan can never index out of bounds — corrupt trace bytes fail
+// the decode, they do not panic the replay.
 
 import (
 	"encoding/json"
@@ -25,18 +25,55 @@ type planWire struct {
 	Day   int `json:"day"`
 	Nodes int `json:"nodes"`
 	Ticks int `json:"ticks"`
-	// Drop/Dup are the per-node-tick Bernoulli outcomes, indexed
-	// node*Ticks+tick; null when the corresponding rate was zero.
-	Drop []bool `json:"drop"`
-	Dup  []bool `json:"dup"`
+	// Drop/Dup are the per-node-tick Bernoulli outcomes, bit-packed
+	// (pack) and so base64 on the wire; null when the corresponding rate
+	// was zero.
+	Drop []byte `json:"drop"`
+	Dup  []byte `json:"dup"`
 	// Per-node schedule: unreachable window [DownFrom, DownTo), reset
 	// tick and kind. -1 marks no event, mirroring the in-memory form.
 	DownFrom  []int `json:"down_from"`
 	DownTo    []int `json:"down_to"`
 	ResetTick []int `json:"reset_tick"`
-	// ResetKind is []int, not []uint8: a byte slice would JSON-encode as
-	// base64 and the trace format stays greppable.
+	// ResetKind is []int, not []uint8, which would encode as base64: a
+	// row has one entry per node, so it stays readable for little cost.
 	ResetKind []int `json:"reset_kind"`
+}
+
+// pack bit-packs a per-node-tick table: bit i of the result, least
+// significant first, is cells[i], so a table of n cells is ⌈n/8⌉ bytes
+// with no bit set past the last cell. nil stays nil.
+func pack(cells []bool) []byte {
+	if cells == nil {
+		return nil
+	}
+	b := make([]byte, (len(cells)+7)/8)
+	for i, c := range cells {
+		if c {
+			b[i>>3] |= 1 << (i & 7)
+		}
+	}
+	return b
+}
+
+// unpack is pack's inverse for a table the geometry says holds cells
+// cells. Its length is checked before anything is sized from cells, so
+// a decoded table never holds more than 8 cells per input byte.
+func unpack(name string, b []byte, cells int) ([]bool, error) {
+	if b == nil {
+		return nil, nil
+	}
+	if want := (cells + 7) / 8; len(b) != want {
+		return nil, fmt.Errorf("faults: plan %s table has %d bytes, %d cells need %d", name, len(b), cells, want)
+	}
+	if r := cells % 8; r != 0 && b[len(b)-1]>>r != 0 {
+		return nil, fmt.Errorf("faults: plan %s table sets a bit past its %d cells", name, cells)
+	}
+	out := make([]bool, cells)
+	for i := range out {
+		out[i] = b[i>>3]>>(i&7)&1 != 0
+	}
+	return out, nil
 }
 
 // MarshalJSON encodes the plan in its wire form.
@@ -45,8 +82,8 @@ func (p Plan) MarshalJSON() ([]byte, error) {
 		Day:       p.Day,
 		Nodes:     p.Nodes,
 		Ticks:     p.Ticks,
-		Drop:      p.drop,
-		Dup:       p.dup,
+		Drop:      pack(p.drop),
+		Dup:       pack(p.dup),
 		DownFrom:  p.downFrom,
 		DownTo:    p.downTo,
 		ResetTick: p.resetTick,
@@ -83,11 +120,13 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	if w.Nodes > 0 && w.Ticks > 0 {
 		cells = w.Nodes * w.Ticks
 	}
-	if w.Drop != nil && len(w.Drop) != cells {
-		return fmt.Errorf("faults: plan drop table has %d cells, geometry says %d", len(w.Drop), cells)
+	drop, err := unpack("drop", w.Drop, cells)
+	if err != nil {
+		return err
 	}
-	if w.Dup != nil && len(w.Dup) != cells {
-		return fmt.Errorf("faults: plan dup table has %d cells, geometry says %d", len(w.Dup), cells)
+	dup, err := unpack("dup", w.Dup, cells)
+	if err != nil {
+		return err
 	}
 	// The four per-node arrays are allocated together by NewPlan; the
 	// accessors index them together, so a partial set cannot be sound.
@@ -102,7 +141,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		}
 	}
 	p.Day, p.Nodes, p.Ticks = w.Day, w.Nodes, w.Ticks
-	p.drop, p.dup = w.Drop, w.Dup
+	p.drop, p.dup = drop, dup
 	p.downFrom, p.downTo, p.resetTick = w.DownFrom, w.DownTo, w.ResetTick
 	p.resetKind = nil
 	if w.ResetKind != nil {

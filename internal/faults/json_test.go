@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -93,26 +95,62 @@ func TestPlanJSONRoundTripPreservesBehavior(t *testing.T) {
 
 // TestPlanUnmarshalRejectsUnsound pins the decoder's validation: wire
 // forms whose geometry and tables disagree must fail to decode, because
-// a plan with (say) a short downTo slice would panic in Down.
+// a plan with (say) a short downTo slice would panic in Down. Each case
+// must fail for its own reason, named by msg.
 func TestPlanUnmarshalRejectsUnsound(t *testing.T) {
+	const noRows = `"down_from":null,"down_to":null,"reset_tick":null,"reset_kind":null`
 	cases := []struct {
 		name string
 		json string
+		msg  string
 	}{
-		{"negative nodes with rows", `{"day":0,"nodes":-2,"ticks":4,"drop":null,"dup":null,"down_from":[1],"down_to":[2],"reset_tick":[0],"reset_kind":[0]}`},
-		{"negative ticks with cells", `{"day":0,"nodes":2,"ticks":-4,"drop":[true],"dup":null,"down_from":null,"down_to":null,"reset_tick":null,"reset_kind":null}`},
-		{"huge geometry", `{"day":0,"nodes":2000000,"ticks":2000000,"drop":null,"dup":null,"down_from":null,"down_to":null,"reset_tick":null,"reset_kind":null}`},
-		{"short drop table", `{"day":0,"nodes":2,"ticks":4,"drop":[true],"dup":null,"down_from":null,"down_to":null,"reset_tick":null,"reset_kind":null}`},
-		{"short dup table", `{"day":0,"nodes":2,"ticks":4,"drop":null,"dup":[false,true],"down_from":null,"down_to":null,"reset_tick":null,"reset_kind":null}`},
-		{"partial per-node set", `{"day":0,"nodes":2,"ticks":4,"drop":null,"dup":null,"down_from":[1,-1],"down_to":null,"reset_tick":null,"reset_kind":null}`},
-		{"short down_to", `{"day":0,"nodes":2,"ticks":4,"drop":null,"dup":null,"down_from":[1,-1],"down_to":[2],"reset_tick":[-1,-1],"reset_kind":[0,0]}`},
-		{"reset kind out of range", `{"day":0,"nodes":1,"ticks":4,"drop":null,"dup":null,"down_from":[-1],"down_to":[-1],"reset_tick":[2],"reset_kind":[7]}`},
-		{"not an object", `[1,2,3]`},
+		{"negative nodes with rows", `{"day":0,"nodes":-2,"ticks":4,"drop":null,"dup":null,"down_from":[1],"down_to":[2],"reset_tick":[0],"reset_kind":[0]}`, "down_from has 1 entries"},
+		{"non-empty table under zero-cell geometry", `{"day":0,"nodes":2,"ticks":-4,"drop":"AA==","dup":null,` + noRows + `}`, "drop table has 1 bytes, 0 cells need 0"},
+		{"huge geometry", `{"day":0,"nodes":2000000,"ticks":2000000,"drop":null,"dup":null,` + noRows + `}`, "exceeds"},
+		// 2x12 is 24 cells, 3 bytes; 2x5 is 10 cells, 2 bytes.
+		{"drop table one byte short", `{"day":0,"nodes":2,"ticks":12,"drop":"AAA=","dup":null,` + noRows + `}`, "drop table has 2 bytes, 24 cells need 3"},
+		{"dup table one byte long", `{"day":0,"nodes":2,"ticks":12,"drop":null,"dup":"AAAAAA==",` + noRows + `}`, "dup table has 4 bytes, 24 cells need 3"},
+		{"bit set past the last cell", `{"day":0,"nodes":2,"ticks":5,"drop":"AAQ=","dup":null,` + noRows + `}`, "drop table sets a bit past its 10 cells"},
+		{"boolean table", `{"day":0,"nodes":1,"ticks":2,"drop":[true,false],"dup":null,` + noRows + `}`, "cannot unmarshal bool"},
+		{"partial per-node set", `{"day":0,"nodes":2,"ticks":4,"drop":null,"dup":null,"down_from":[1,-1],"down_to":null,"reset_tick":null,"reset_kind":null}`, "down_to present/absent"},
+		{"short down_to", `{"day":0,"nodes":2,"ticks":4,"drop":null,"dup":null,"down_from":[1,-1],"down_to":[2],"reset_tick":[-1,-1],"reset_kind":[0,0]}`, "down_to has 1 entries"},
+		{"reset kind out of range", `{"day":0,"nodes":1,"ticks":4,"drop":null,"dup":null,"down_from":[-1],"down_to":[-1],"reset_tick":[2],"reset_kind":[7]}`, "reset kind 7"},
+		{"not an object", `[1,2,3]`, "cannot unmarshal array"},
 	}
 	for _, tc := range cases {
 		var p Plan
-		if err := json.Unmarshal([]byte(tc.json), &p); err == nil {
+		err := json.Unmarshal([]byte(tc.json), &p)
+		if err == nil {
 			t.Errorf("%s: decode unexpectedly succeeded: %+v", tc.name, p)
+		} else if !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.msg)
 		}
+	}
+	// The last cell's bit is the table's highest legal bit.
+	var p Plan
+	if err := json.Unmarshal([]byte(`{"day":0,"nodes":2,"ticks":5,"drop":"/wM=","dup":null,`+noRows+`}`), &p); err != nil {
+		t.Fatalf("every cell of a 2x5 table set: %v", err)
+	}
+	if !p.Dropped(1, 4) || !p.Dropped(0, 0) {
+		t.Fatal("a full 2x5 drop table decoded with cells clear")
+	}
+}
+
+// TestPlanUnmarshalBoundsAllocation pins the decode bound: a plan that
+// claims the largest geometry the decoder admits (2^40 cells) but
+// carries a 3-byte table fails on the table's length, before anything
+// is sized from the geometry.
+func TestPlanUnmarshalBoundsAllocation(t *testing.T) {
+	data := []byte(`{"day":0,"nodes":1048576,"ticks":1048576,"drop":"AQAA","dup":null,"down_from":null,"down_to":null,"reset_tick":null,"reset_kind":null}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var p Plan
+	err := json.Unmarshal(data, &p)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "drop table has 3 bytes") {
+		t.Fatalf("2^40-cell claim with a 3-byte table: got %v, want a table-length error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting a 3-byte table allocated %d bytes", n)
 	}
 }

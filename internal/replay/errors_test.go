@@ -71,13 +71,16 @@ func TestDecodeErrorClassification(t *testing.T) {
 		{"empty input", nil, trace.ErrCorrupt},
 		{"not JSON", []byte("RS2HPM says hi"), trace.ErrCorrupt},
 		{"JSON but not an object", []byte("[1,2,3]\n"), trace.ErrCorrupt},
+		{"empty header", []byte("{}\n"), trace.ErrCorrupt},
+		{"null header", []byte("null\n"), trace.ErrCorrupt},
 		{"wrong format name", []byte(`{"format":"hpm-checkpoint","version":1}` + "\n"), trace.ErrCorrupt},
-		{"future format version", []byte(`{"format":"hpm-campaign-trace","version":2,"fields_from_the_future":true}` + "\n"), trace.ErrVersion},
+		{"future format version", []byte(`{"format":"hpm-campaign-trace","version":3,"fields_from_the_future":true}` + "\n"), trace.ErrVersion},
+		{"version one", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrVersion},
 		{"version zero", []byte(`{"format":"hpm-campaign-trace","version":0}` + "\n"), trace.ErrVersion},
-		{"unknown header field at current version", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1,"days":1,"cluster_days":[1],"faulted":false,"extra":1}` + "\n"), trace.ErrCorrupt},
-		{"cluster_days disagrees with clusters", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":2,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
-		{"days disagrees with cluster_days", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1,"days":5,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
-		{"absurd cluster count", []byte(`{"format":"hpm-campaign-trace","version":1,"seed":1,"fingerprint":1,"clusters":1073741824,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
+		{"unknown header field at current version", []byte(`{"format":"hpm-campaign-trace","version":2,"seed":1,"fingerprint":1,"clusters":1,"days":1,"cluster_days":[1],"faulted":false,"extra":1}` + "\n"), trace.ErrCorrupt},
+		{"cluster_days disagrees with clusters", []byte(`{"format":"hpm-campaign-trace","version":2,"seed":1,"fingerprint":1,"clusters":2,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
+		{"days disagrees with cluster_days", []byte(`{"format":"hpm-campaign-trace","version":2,"seed":1,"fingerprint":1,"clusters":1,"days":5,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
+		{"absurd cluster count", []byte(`{"format":"hpm-campaign-trace","version":2,"seed":1,"fingerprint":1,"clusters":1073741824,"days":1,"cluster_days":[1],"faulted":false}` + "\n"), trace.ErrCorrupt},
 		{"header only, no records", header, trace.ErrCorrupt},
 		{"truncated mid-record", valid[:len(valid)-len(valid)/3], trace.ErrCorrupt},
 		{"trailing garbage", append(append([]byte{}, valid...), []byte("}{ not a record")...), trace.ErrCorrupt},

@@ -18,10 +18,12 @@ import (
 )
 
 func FuzzReplayDecode(f *testing.F) {
-	const header = `{"format":"hpm-campaign-trace","version":1,"seed":7,"fingerprint":123,"clusters":1,"days":1,"cluster_days":[1],"faulted":false}`
+	const header = `{"format":"hpm-campaign-trace","version":2,"seed":7,"fingerprint":123,"clusters":1,"days":1,"cluster_days":[1],"faulted":false}`
 	const record = `{"cluster":0,"day":0,"plan":{"Day":0,"Util":0.5,"PagingDay":false,"Quality":1,"Jobs":null}}`
+	// "AQ==" is the byte 0x01: of the plan's two cells, node 0 tick 0
+	// is dropped.
 	const faulted = `{"cluster":0,"day":0,"plan":{"Day":0,"Util":0.5,"PagingDay":true,"Quality":1,"Jobs":[]},` +
-		`"faults":{"day":0,"nodes":1,"ticks":2,"drop":[true,false],"dup":null,"down_from":[0],"down_to":[1],"reset_tick":[-1],"reset_kind":[0]}}`
+		`"faults":{"day":0,"nodes":1,"ticks":2,"drop":"AQ==","dup":null,"down_from":[0],"down_to":[1],"reset_tick":[-1],"reset_kind":[0]}}`
 
 	f.Add([]byte(header + "\n" + record + "\n"))
 	f.Add([]byte(header + "\n" + faulted + "\n"))
@@ -29,7 +31,7 @@ func FuzzReplayDecode(f *testing.F) {
 	f.Add([]byte(header + "\n" + record + "\n" + record + "\n")) // duplicate
 	f.Add([]byte(`{"format":"hpm-campaign-trace","version":99,"novel":true}` + "\n"))
 	f.Add([]byte(`{"format":"something-else","version":1}` + "\n"))
-	f.Add([]byte(`{"format":"hpm-campaign-trace","version":1,"clusters":1000000,"days":1,"cluster_days":[1]}` + "\n"))
+	f.Add([]byte(`{"format":"hpm-campaign-trace","version":2,"clusters":1000000,"days":1,"cluster_days":[1]}` + "\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("{"))
 	f.Add([]byte("null\n"))

@@ -39,11 +39,13 @@ import (
 )
 
 // Format identity. FormatVersion must change whenever the trace layout
-// changes incompatibly — a reader seeing a newer version reports
-// trace.ErrVersion rather than guessing.
+// changes incompatibly — a reader seeing another version reports
+// trace.ErrVersion rather than guessing. Version 2 bit-packs the fault
+// plans' per-node-tick tables (faults.Plan's codec), which version 1
+// spelled as JSON booleans; no version-1 reader is kept.
 const (
 	FormatName    = "hpm-campaign-trace"
-	FormatVersion = 1
+	FormatVersion = 2
 )
 
 // Failures classify into three families, matchable with errors.Is.

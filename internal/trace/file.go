@@ -191,7 +191,8 @@ func decodeWhole(data []byte, what string, v any) error {
 // a header from another version, which may carry fields this reader has
 // never heard of, is a version error rather than corruption:
 //
-//   - a header naming another format is ErrCorrupt;
+//   - a header naming another format, or neither a format nor a version
+//     (`{}`, `null`), is ErrCorrupt;
 //   - a header naming this format, or none, at another version is
 //     ErrVersion (a version-1 checkpoint names no format);
 //   - a header at this version must name this format and decode
@@ -207,6 +208,8 @@ func DecodeHeader(raw []byte, format string, version int, h any) error {
 	switch {
 	case probe.Format != "" && probe.Format != format:
 		return fmt.Errorf("%w: not a %s header: format %q", ErrCorrupt, format, probe.Format)
+	case probe.Format == "" && probe.Version == 0:
+		return fmt.Errorf("%w: not a %s header: no format or version", ErrCorrupt, format)
 	case probe.Version != version:
 		return fmt.Errorf("%w: %s version %d, want %d", ErrVersion, format, probe.Version, version)
 	case probe.Format == "":
