@@ -21,8 +21,9 @@ package trace
 //     Write emits for the cluster's Result, so the one-pass database
 //     reader decodes it. The frame's own CRC means a damaged cluster
 //     index or length is never trusted.
-//   - With a ".gz" path each record is a gzip member of its own, so the
-//     file stays one valid multi-member gzip stream.
+//   - With a ".gz" path each record, the header included, is a gzip
+//     member of its own at journalLevel, so the file stays one valid
+//     multi-member gzip stream.
 //
 // A kill can tear only the last append, and only by cutting it short. A
 // final record that is short, fails its payload CRC or is a cut gzip
@@ -66,6 +67,12 @@ const checkpointFormat = "hpm-fleet-checkpoint"
 // frameLen is the size of a segment's frame: cluster, length, the
 // CRC-32 of those two, and the payload's CRC-32.
 const frameLen = 4 + 8 + 4 + 4
+
+// journalLevel is the gzip level of a ".gz" journal's records. On a
+// fleet's segments level 2 compresses 2.2x faster than the default
+// level 6, for about 29% more bytes; any level reads back the same, so
+// the level is not part of the format.
+const journalLevel = 2
 
 // errTorn marks a record cut short or failing its checksum: a torn
 // append when it is the file's last record, damage anywhere else.
@@ -122,8 +129,22 @@ type Journal struct {
 // given size. The header is written atomically, so an unwritable path
 // fails here, and an old file at path is replaced whole.
 func CreateJournal(path string, fleetID uint64, clusters int) (*Journal, error) {
+	if err := journalFile(path); err != nil {
+		return nil, err
+	}
 	hdr := headerLine(fleetID, clusters)
-	if err := writeFile(path, func(w io.Writer) error { _, err := w.Write(hdr); return err }); err != nil {
+	if strings.HasSuffix(path, ".gz") {
+		hdr = gzipMember(hdr)
+	}
+	f, err := Create(path, false)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Write(hdr); err != nil {
+		f.Abort()
+		return nil, err
+	}
+	if err := f.Commit(); err != nil {
 		return nil, err
 	}
 	return openJournal(path, -1)
@@ -133,6 +154,9 @@ func CreateJournal(path string, fleetID uint64, clusters int) (*Journal, error) 
 // further appends. A torn final record is cut off, and the cut fsynced,
 // before anything is appended after it.
 func OpenJournal(path string) (FleetCheckpoint, *Journal, error) {
+	if err := journalFile(path); err != nil {
+		return FleetCheckpoint{}, nil, err
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return FleetCheckpoint{}, nil, fmt.Errorf("trace: checkpoint: %w", err)
@@ -150,6 +174,17 @@ func OpenJournal(path string) (FleetCheckpoint, *Journal, error) {
 		return FleetCheckpoint{}, nil, err
 	}
 	return cp, j, nil
+}
+
+// journalFile refuses a journal path that holds something other than a
+// regular file, a symbolic link followed: a device such as /dev/null
+// takes the header but no fsync, so every append would fail, and only
+// once a whole cluster had run.
+func journalFile(path string) error {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return fmt.Errorf("trace: checkpoint %s is not a regular file", path)
+	}
+	return nil
 }
 
 // openJournal opens the journal at path for appending. A non-negative cut
@@ -222,11 +257,12 @@ func encodeSegment(cluster int, res workload.Result, gz bool) ([]byte, error) {
 	return b, nil
 }
 
-// gzipMember returns b compressed into a gzip member of its own.
+// gzipMember returns b compressed into a gzip member of its own at
+// journalLevel.
 func gzipMember(b []byte) []byte {
 	var z bytes.Buffer
-	zw := gzip.NewWriter(&z)
-	zw.Write(b) // a bytes.Buffer takes every write
+	zw, _ := gzip.NewWriterLevel(&z, journalLevel) // a valid level never fails
+	zw.Write(b)                                    // a bytes.Buffer takes every write
 	zw.Close()
 	return z.Bytes()
 }

@@ -224,6 +224,8 @@ func TestFleetCheckpointRejectsCorruptEnvelopes(t *testing.T) {
 		{"empty", nil, ErrCorrupt, "header"},
 		{"torn header", data[:ends[0]-1], ErrCorrupt, "header"},
 		{"not JSON", header("not a checkpoint"), ErrCorrupt, "header"},
+		{"empty header", header(`{}`), ErrCorrupt, "no format or version"},
+		{"null header", header(`null`), ErrCorrupt, "no format or version"},
 		{"version 1", header(`{"version":1,"fleet_id":1,"clusters":1,"done":null,"cursors":null}`), ErrVersion, "version 1"},
 		{"version 1 with trailing data", header(`{"version":1,"fleet_id":1,"clusters":1,"done":null,"cursors":null}garbage`), ErrCorrupt, "header"},
 		{"version skew", header(`{"format":"hpm-fleet-checkpoint","version":99,"fleet_id":1,"clusters":1}`), ErrVersion, "version 99"},
@@ -339,6 +341,36 @@ func TestFleetCheckpointTornTail(t *testing.T) {
 // counting nil and empty as equal.
 func sameDone(a, b []FleetClusterResult) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// A journal at a path that is not a regular file is refused before
+// anything is written to it, a symbolic link followed: a device takes
+// the header but fails every append's fsync, and only after a whole
+// cluster has run.
+func TestJournalRefusesDevice(t *testing.T) {
+	link := filepath.Join(t.TempDir(), "fleet.ckpt.gz")
+	if err := os.Symlink(os.DevNull, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{os.DevNull, link} {
+		j, err := CreateJournal(path, 1, 2)
+		if err == nil {
+			j.Close()
+			t.Errorf("CreateJournal(%s) succeeded", path)
+		} else if !strings.Contains(err.Error(), "not a regular file") {
+			t.Errorf("CreateJournal(%s): %v, want a refused device", path, err)
+		}
+		_, j, err = OpenJournal(path)
+		if err == nil {
+			j.Close()
+			t.Errorf("OpenJournal(%s) succeeded", path)
+		} else if !strings.Contains(err.Error(), "not a regular file") {
+			t.Errorf("OpenJournal(%s): %v, want a refused device", path, err)
+		}
+	}
+	if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Errorf("the link to %s was replaced (err %v)", os.DevNull, err)
+	}
 }
 
 func TestFleetCheckpointMissingFile(t *testing.T) {
