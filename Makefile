@@ -106,15 +106,22 @@ fleet-smoke:
 # Differential smoke of trace record/replay through the real CLI: record
 # a 2-day campaign while exporting its database, replay the trace with
 # the profiles measured at another width (-workers 3), and require the
-# exported databases to be byte-identical. cmp is the whole proof — any
+# exported databases to be byte-identical. A second leg records a
+# faulted 2-cluster fleet on 2 shards, so the trace carries fault tables,
+# and replays it on 1 shard at -workers 3. cmp is the whole proof — any
 # divergence fails.
 REPLAY_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)
+REPLAY_SMOKE_FILES := $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json \
+	$(REPLAY_SMOKE_DIR)/hpm-replay-fleet.trace.gz $(REPLAY_SMOKE_DIR)/hpm-replay-fleet-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-fleet-replayed.json
 replay-smoke:
-	rm -f $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
+	rm -f $(REPLAY_SMOKE_FILES)
 	$(GO) run ./cmd/spsim -days 2 -seed 7 -record $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz -o $(REPLAY_SMOKE_DIR)/hpm-replay-live.json
 	$(GO) run ./cmd/spsim -days 2 -seed 7 -workers 3 -replay $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz -o $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
 	cmp $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
-	rm -f $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
+	$(GO) run ./cmd/spsim -days 2 -seed 7 -faults -clusters 2 -shards 2 -record $(REPLAY_SMOKE_DIR)/hpm-replay-fleet.trace.gz -o $(REPLAY_SMOKE_DIR)/hpm-replay-fleet-live.json
+	$(GO) run ./cmd/spsim -days 2 -seed 7 -faults -clusters 2 -shards 1 -workers 3 -replay $(REPLAY_SMOKE_DIR)/hpm-replay-fleet.trace.gz -o $(REPLAY_SMOKE_DIR)/hpm-replay-fleet-replayed.json
+	cmp $(REPLAY_SMOKE_DIR)/hpm-replay-fleet-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-fleet-replayed.json
+	rm -f $(REPLAY_SMOKE_FILES)
 
 # Run every example under examples/ once; a non-zero exit fails. The
 # examples are the runnable documentation of each subsystem, and nothing
