@@ -129,7 +129,7 @@ type Journal struct {
 // given size. The header is written atomically, so an unwritable path
 // fails here, and an old file at path is replaced whole.
 func CreateJournal(path string, fleetID uint64, clusters int) (*Journal, error) {
-	if err := journalFile(path); err != nil {
+	if err := checkJournalPath(path); err != nil {
 		return nil, err
 	}
 	hdr := headerLine(fleetID, clusters)
@@ -154,7 +154,7 @@ func CreateJournal(path string, fleetID uint64, clusters int) (*Journal, error) 
 // further appends. A torn final record is cut off, and the cut fsynced,
 // before anything is appended after it.
 func OpenJournal(path string) (FleetCheckpoint, *Journal, error) {
-	if err := journalFile(path); err != nil {
+	if err := checkJournalPath(path); err != nil {
 		return FleetCheckpoint{}, nil, err
 	}
 	data, err := os.ReadFile(path)
@@ -176,11 +176,11 @@ func OpenJournal(path string) (FleetCheckpoint, *Journal, error) {
 	return cp, j, nil
 }
 
-// journalFile refuses a journal path that holds something other than a
-// regular file, a symbolic link followed: a device such as /dev/null
-// takes the header but no fsync, so every append would fail, and only
-// once a whole cluster had run.
-func journalFile(path string) error {
+// checkJournalPath refuses a journal path that holds something other
+// than a regular file, a symbolic link followed: a device such as
+// /dev/null takes the header but no fsync, so every append would fail,
+// and only once a whole cluster had run.
+func checkJournalPath(path string) error {
 	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
 		return fmt.Errorf("trace: checkpoint %s is not a regular file", path)
 	}
