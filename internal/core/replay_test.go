@@ -3,9 +3,10 @@ package core
 // Record/replay through the fleet definitions the facade builds: the
 // golden campaign hash must come back through a live record and a
 // replay at shards {1, 4}, and the committed trace fixtures — recorded
-// by spsim before every campaign ran on the fleet engine — must replay
-// bit for bit at any worker and shard count, and refuse a different
-// definition with the replay package's mismatch error.
+// by spsim, and recorded again at each trace format version with their
+// hashes unchanged — must replay bit for bit at any worker and shard
+// count, and refuse a different definition with the replay package's
+// mismatch error.
 
 import (
 	"encoding/json"
