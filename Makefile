@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzDatabaseDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/rs2hpm/
+	$(GO) test -run '^$$' -fuzz '^FuzzCounterLine$$' -fuzztime $(FUZZTIME) ./internal/rs2hpm/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayDecode$$' -fuzztime $(FUZZTIME) ./internal/replay/
 
 # Every property test in the tree, under the race detector.

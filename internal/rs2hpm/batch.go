@@ -21,10 +21,14 @@ package rs2hpm
 // node, so one dead node cannot poison the rest of the batch. A v1 daemon
 // answers MGET with "ERR unknown command", which the client reads as a
 // version signal and downgrades to single-GET sweeps for the rest of the
-// connection — mixed-version fleets collect correctly, just less cheaply.
+// connection: the COUNTERS requests of up to 128 nodes go out in one
+// write and their responses are read back in order, one round trip per
+// window instead of one per node. Mixed-version fleets collect
+// correctly, with the same bytes on the wire, just less cheaply.
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -56,6 +60,7 @@ func (d *Daemon) writeBatch(w *bufio.Writer, args []string) {
 	if len(args) == 1 && args[0] == "*" {
 		ids = d.nodeIDs()
 	} else {
+		ids = make([]int, 0, len(args))
 		for _, a := range args {
 			id, err := strconv.Atoi(a)
 			if err != nil {
@@ -91,63 +96,50 @@ func decodeBatch(sc *bufio.Scanner, want []int) ([]BatchEntry, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("%w: connection closed before batch header", errProtocol)
 	}
-	header := strings.TrimSpace(sc.Text())
-	if strings.HasPrefix(header, "ERR") {
-		if strings.Contains(header, "unknown command") {
+	header := bytes.TrimSpace(sc.Bytes())
+	if bytes.HasPrefix(header, []byte("ERR")) {
+		if bytes.Contains(header, []byte("unknown command")) {
 			return nil, errUnsupported
 		}
 		return nil, fmt.Errorf("%w: %s", errProtocol, header)
 	}
-	var n int
-	if _, err := fmt.Sscanf(header, "BATCH %d", &n); err != nil || n < 0 {
+	n, ok := parseKeyInt(header, "BATCH")
+	if !ok || n < 0 {
 		return nil, fmt.Errorf("%w: bad batch header %q", errProtocol, header)
 	}
 	if n != len(want) {
 		return nil, fmt.Errorf("%w: batch answers %d nodes, requested %d", errProtocol, n, len(want))
 	}
 	entries := make([]BatchEntry, 0, n)
-	for i := 0; i < n; i++ {
+	for i, id := range want {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("%w: connection closed mid-batch (%d of %d blocks)", errProtocol, i, n)
 		}
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "ERR "):
-			rest := strings.TrimPrefix(line, "ERR ")
-			idStr, reason, _ := strings.Cut(rest, " ")
-			id, err := strconv.Atoi(idStr)
+		line := bytes.TrimSpace(sc.Bytes())
+		if rest, ok := bytes.CutPrefix(line, []byte("ERR ")); ok {
+			idStr, reason, _ := bytes.Cut(rest, []byte(" "))
+			got, err := strconv.Atoi(string(idStr))
 			if err != nil {
 				return nil, fmt.Errorf("%w: bad batch error line %q", errProtocol, line)
 			}
-			if id != want[i] {
-				return nil, fmt.Errorf("%w: batch block %d answers node %d, requested %d", errProtocol, i, id, want[i])
+			if got != id {
+				return nil, fmt.Errorf("%w: batch block %d answers node %d, requested %d", errProtocol, i, got, id)
 			}
-			entries = append(entries, BatchEntry{Node: id, Err: fmt.Errorf("%w: node %d: %s", errProtocol, id, reason)})
-		case strings.HasPrefix(line, "OK "):
-			id, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "OK ")))
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad batch block header %q", errProtocol, line)
-			}
-			if id != want[i] {
-				return nil, fmt.Errorf("%w: batch block %d answers node %d, requested %d", errProtocol, i, id, want[i])
-			}
-			var snap hpm.Counts64
-			for {
-				if !sc.Scan() {
-					return nil, fmt.Errorf("%w: connection closed mid-block for node %d", errProtocol, id)
-				}
-				body := strings.TrimSpace(sc.Text())
-				if body == "END" {
-					break
-				}
-				if err := parseCounterLine(body, &snap); err != nil {
-					return nil, err
-				}
-			}
-			entries = append(entries, BatchEntry{Node: id, Snap: snap})
-		default:
+			entries = append(entries, BatchEntry{Node: id, Err: &daemonError{fmt.Sprintf("node %d: %s", id, reason)}})
+			continue
+		}
+		got, ok := parseKeyInt(line, "OK")
+		if !ok {
 			return nil, fmt.Errorf("%w: bad batch block header %q", errProtocol, line)
 		}
+		if got != id {
+			return nil, fmt.Errorf("%w: batch block %d answers node %d, requested %d", errProtocol, i, got, id)
+		}
+		snap, err := readBlock(sc, id)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, BatchEntry{Node: id, Snap: snap})
 	}
 	return entries, nil
 }
@@ -166,16 +158,16 @@ func (c *Client) ServerVersion() (int, error) {
 	if !c.sc.Scan() {
 		return 0, fmt.Errorf("%w: connection closed", errProtocol)
 	}
-	line := strings.TrimSpace(c.sc.Text())
-	if strings.HasPrefix(line, "ERR") {
-		if strings.Contains(line, "unknown command") {
+	line := bytes.TrimSpace(c.sc.Bytes())
+	if bytes.HasPrefix(line, []byte("ERR")) {
+		if bytes.Contains(line, []byte("unknown command")) {
 			c.proto = ProtocolV1
 			return c.proto, nil
 		}
 		return 0, fmt.Errorf("%w: %s", errProtocol, line)
 	}
-	var v int
-	if _, err := fmt.Sscanf(line, "OK RS2HPM %d", &v); err != nil || v < ProtocolV1 {
+	v, ok := parseKeyInt(line, "OK RS2HPM")
+	if !ok || v < ProtocolV1 {
 		return 0, fmt.Errorf("%w: bad version response %q", errProtocol, line)
 	}
 	c.proto = v
@@ -224,23 +216,37 @@ func (c *Client) BatchCounters(ids []int) ([]BatchEntry, error) {
 	return entries, nil
 }
 
-// batchFallback emulates one batched read with per-node single-GET
-// round-trips — the v1 path, same shape out.
+// fallbackWindow is how many COUNTERS requests batchFallback writes
+// before it reads their answers. A request is at most 30 bytes, so a
+// window stays under the client's 4 KB write buffer and goes out in one
+// flush, which never waits on the daemon reading.
+const fallbackWindow = 128
+
+// batchFallback emulates one batched read with single-GET reads against
+// a v1 daemon, same shape out: the requests of each window of nodes go
+// out together and their responses are read back in order, one round
+// trip per window. A daemon-reported ERR is a per-node outcome; anything
+// else (transport, framing) leaves the stream out of step and fails the
+// whole batch, matching the v2 contract.
 func (c *Client) batchFallback(ids []int) ([]BatchEntry, error) {
 	entries := make([]BatchEntry, 0, len(ids))
-	for _, id := range ids {
-		snap, err := c.Counters(id)
-		if err != nil {
-			// A daemon-reported ERR response is a per-node outcome;
-			// anything else (transport, framing) poisons the connection
-			// and fails the whole batch, matching the v2 contract.
-			if !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), ": ERR") {
+	for len(ids) > 0 {
+		window := ids[:min(len(ids), fallbackWindow)]
+		ids = ids[len(window):]
+		for _, id := range window {
+			c.requestCounters(id)
+		}
+		if err := c.w.Flush(); err != nil {
+			return nil, err
+		}
+		for _, id := range window {
+			snap, err := c.readCounters(id)
+			var de *daemonError
+			if err != nil && !errors.As(err, &de) {
 				return nil, err
 			}
-			entries = append(entries, BatchEntry{Node: id, Err: err})
-			continue
+			entries = append(entries, BatchEntry{Node: id, Snap: snap, Err: err})
 		}
-		entries = append(entries, BatchEntry{Node: id, Snap: snap})
 	}
 	return entries, nil
 }

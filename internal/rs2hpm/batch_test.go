@@ -5,8 +5,12 @@ package rs2hpm
 // propagation, and 32-bit wrap correction across a batch boundary.
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -292,5 +296,163 @@ func TestVersionCommand(t *testing.T) {
 		}
 		c.Close()
 		d.Close()
+	}
+}
+
+// scriptedDaemon serves one connection from a reply table keyed by
+// request line, answering any other request as a v1 daemon answers an
+// unknown command. It stands in for a daemon that sends what the real
+// one never does.
+func scriptedDaemon(t *testing.T, replies map[string]string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		sc := bufio.NewScanner(conn)
+		for sc.Scan() {
+			reply, ok := replies[sc.Text()]
+			if !ok {
+				reply = fmt.Sprintf("ERR unknown command %q\n", sc.Text())
+			}
+			if _, err := io.WriteString(conn, reply); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
+
+// counterBlock is the daemon's answer to COUNTERS for a healthy node.
+func counterBlock(t *testing.T, id int, snap hpm.Counts64) string {
+	return fmt.Sprintf("OK %d\n", id) + encodeCounterLines(t, snap) + "END\n"
+}
+
+// TestBatchFallbackErrorClassification: against a v1 daemon, an ERR
+// response is the one failure recorded against its node with the
+// connection kept in step. A malformed counter line, even one quoting
+// ": ERR", an ERR inside a block, or a block for another node leaves the
+// stream out of step, so the batch fails and the service drops the
+// connection.
+func TestBatchFallbackErrorClassification(t *testing.T) {
+	snap := newStaticSource(1).snap
+	t.Run("daemon-err-is-per-node", func(t *testing.T) {
+		addr := scriptedDaemon(t, map[string]string{
+			"COUNTERS 0": "ERR read node 0: boom\n",
+			"COUNTERS 1": counterBlock(t, 1, snap),
+		})
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		entries, err := c.BatchCounters([]int{0, 1})
+		if err != nil {
+			t.Fatalf("BatchCounters: %v", err)
+		}
+		if len(entries) != 2 || !errors.Is(entries[0].Err, errProtocol) || entries[1].Err != nil || entries[1].Snap != snap {
+			t.Fatalf("entries = %+v", entries)
+		}
+		if got, err := c.Counters(1); err != nil || got != snap {
+			t.Fatalf("connection out of step after a daemon ERR: %v", err)
+		}
+	})
+	for _, tc := range []struct{ name, reply string }{
+		{"counter-line-quoting-err", "OK 0\nC 1 a: ERR\nC 2 FXU.2 user.dcache_mis 5 6\nEND\n"},
+		{"err-inside-block", "OK 0\nERR read node 0: late\nEND\n"},
+		{"block-for-another-node", counterBlock(t, 1, snap)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := scriptedDaemon(t, map[string]string{"COUNTERS 0": tc.reply})
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			entries, err := c.BatchCounters([]int{0})
+			if err == nil {
+				t.Fatalf("framing failure became per-node entries %+v; the batch must fail", entries)
+			}
+			if !errors.Is(err, errProtocol) {
+				t.Fatalf("err = %v, want a protocol error", err)
+			}
+		})
+	}
+}
+
+// TestBatchFallbackWindows: a v1 batch of more than two windows answers
+// every node in request order, with the failing nodes at the first and
+// last place of a window and an unknown node inside one recorded against
+// themselves, and leaves the connection in step.
+func TestBatchFallbackWindows(t *testing.T) {
+	const n = 2*fallbackWindow + 44
+	failing := map[int]bool{0: true, fallbackWindow: true, 2*fallbackWindow - 1: true, n - 1: true}
+	unknown := fallbackWindow / 2
+	srcs := make([]Source, n)
+	ids := make([]int, n)
+	for i := range srcs {
+		ids[i] = i
+		if failing[i] {
+			srcs[i] = failingSource{id: i}
+		} else {
+			srcs[i] = newStaticSource(i)
+		}
+	}
+	ids[unknown] = 1_000_000
+	d := NewDaemonProtocol(ProtocolV1, srcs...)
+	addr, err := d.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for round := 0; round < 2; round++ {
+		entries, err := c.BatchCounters(ids)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(entries) != n {
+			t.Fatalf("round %d: %d entries for %d nodes", round, len(entries), n)
+		}
+		for i, e := range entries {
+			if e.Node != ids[i] {
+				t.Fatalf("round %d: entry %d answers node %d, requested %d", round, i, e.Node, ids[i])
+			}
+			switch {
+			case i == unknown:
+				if e.Err == nil || !strings.Contains(e.Err.Error(), "no such node") {
+					t.Errorf("round %d: unknown node entry err = %v", round, e.Err)
+				}
+			case failing[i]:
+				if e.Err == nil || !strings.Contains(e.Err.Error(), "injected permanent failure") {
+					t.Errorf("round %d: failing node %d err = %v", round, i, e.Err)
+				}
+			case e.Err != nil:
+				t.Errorf("round %d: healthy node %d err = %v", round, i, e.Err)
+			case e.Snap != srcs[i].Counters():
+				t.Errorf("round %d: node %d decoded another node's snapshot", round, i)
+			}
+		}
+	}
+	got, err := c.Nodes()
+	if err != nil || len(got) != n {
+		t.Fatalf("connection out of step after the batches: %d nodes, %v", len(got), err)
 	}
 }

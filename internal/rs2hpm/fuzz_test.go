@@ -1,12 +1,13 @@
 package rs2hpm
 
-// Fuzz target for the MGET response decoder. decodeBatch reads frames off
-// a network socket, so arbitrary bytes must produce an error, never a
+// Fuzz targets for the wire decoders. decodeBatch reads frames off a
+// network socket, so arbitrary bytes must produce an error, never a
 // panic or a hang, and anything it accepts must honor the frame contract:
 // exactly one entry per requested node, in request order. The committed
 // corpus under testdata/fuzz pins the interesting shapes: a well-formed
 // frame, the v1 unknown-command downgrade signal, truncations, count
-// mismatches, and out-of-order blocks.
+// mismatches, and out-of-order blocks. FuzzCounterLine holds the
+// allocation-free counter-line parse to the strings.Fields reference.
 
 import (
 	"bufio"
@@ -14,6 +15,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/hpm"
 )
 
 func FuzzWireBatchDecode(f *testing.F) {
@@ -65,6 +68,43 @@ func FuzzWireBatchDecode(f *testing.F) {
 			if e.Err != nil && !errors.Is(e.Err, errProtocol) {
 				t.Fatalf("per-node error is unclassified: %v", e.Err)
 			}
+		}
+	})
+}
+
+func FuzzCounterLine(f *testing.F) {
+	for _, line := range strings.Split(strings.TrimSuffix(encodeCounterLines(f, newStaticSource(3).snap), "\n"), "\n") {
+		f.Add(line)
+	}
+	f.Add("C 0 FXU.0 user.fxu0 0 0")
+	f.Add("C\t1\tFXU.1\tuser.fxu1\t5\t6")
+	f.Add("C 1  FXU.1 user.fxu1 5 6")
+	f.Add("C 1 FXU.1 user.fxu1 +5 6")
+	f.Add("C 1 FXU.1 user.fxu1 18446744073709551615 18446744073709551615")
+	f.Add("C 1 FXU.1 user.fxu1 18446744073709551616 6")
+	f.Add("C 1 FXU.1 user.fxu1 5 99999999999999999999")
+	f.Add("C 22 SCU.5 user.dma_next 1 2")
+	f.Add("C 01 FXU.1 user.fxu1 5 6")
+	f.Add("c 1 FXU.1 user.fxu1 5 6")
+	f.Add("C 1 FXU.0 user.fxu0 5 6")
+	f.Add("C 1 FXU.1 user.fxu1 5 6 7")
+	f.Add("C 1 FXU.1 user.fxu1 5\u00a06")
+	f.Add("C 1 FXU.1 user.fxu1 5\u00856")
+	f.Add("C 1 a: ERR")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, line string) {
+		var fast, ref hpm.Counts64
+		errFast := parseCounterBytes([]byte(line), &fast)
+		errRef := parseCounterLine(line, &ref)
+		if (errFast == nil) != (errRef == nil) {
+			t.Fatalf("%q: parse says %v, reference says %v", line, errFast, errRef)
+		}
+		if errFast != nil && !errors.Is(errFast, errProtocol) {
+			t.Fatalf("%q: unclassified error: %v", line, errFast)
+		}
+		if fast != ref {
+			t.Fatalf("%q: parse and reference decode different snapshots", line)
 		}
 	})
 }

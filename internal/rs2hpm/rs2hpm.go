@@ -8,9 +8,9 @@
 //   - a client speaking the daemon's line protocol;
 //   - one collection path, Service: each SweepOnce reads every node of
 //     every daemon through Client.BatchCounters (one MGET round-trip on
-//     a v2 daemon, single-GET reads on a v1 one) into a SampleLog of
-//     wrap-corrected 64-bit snapshots. The paper's cron sweep is a
-//     one-address Service swept once per period.
+//     a v2 daemon, single-GET reads pipelined in windows of 128 nodes on
+//     a v1 one) into a SampleLog of wrap-corrected 64-bit snapshots. The
+//     paper's cron sweep is a one-address Service swept once per period.
 //
 // The kernel extension of the original is replaced by direct access to
 // the simulated SCU monitor; everything from the wire up is real code
@@ -19,6 +19,7 @@ package rs2hpm
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -250,13 +251,41 @@ func (d *Daemon) writeCounters(w *bufio.Writer, id int) {
 	fmt.Fprintf(w, "END\n")
 }
 
-// writeCounterLines emits the per-event C lines of one snapshot.
+// counterPrefixes holds each event's "C <ev> <group.idx> <label> " line
+// prefix, the part of a counter line that never changes.
+var counterPrefixes = func() (p [hpm.NumEvents][]byte) {
+	for ev := range p {
+		info := hpm.Info(hpm.Event(ev))
+		p[ev] = fmt.Appendf(nil, "C %d %s.%d %s ", ev, info.Group, info.Index, info.Label)
+	}
+	return p
+}()
+
+// maxCounterLine bounds one counter line: the longest prefix and two
+// 20-digit values with their separator and newline.
+var maxCounterLine = func() int {
+	n := 0
+	for _, p := range counterPrefixes {
+		n = max(n, len(p))
+	}
+	return n + 2*20 + 2
+}()
+
+// writeCounterLines emits the per-event C lines of one snapshot,
+// "C <ev> <group.idx> <label> <user> <sys>", without allocating: each
+// line is appended into the writer's free buffer space, flushed first
+// when a line might not fit. A failed flush is sticky, and the caller's
+// own Flush reports it.
 func writeCounterLines(w *bufio.Writer, totals hpm.Counts64) {
-	for ev := hpm.Event(0); ev < hpm.NumEvents; ev++ {
-		info := hpm.Info(ev)
-		fmt.Fprintf(w, "C %d %s.%d %s %d %d\n",
-			ev, info.Group, info.Index, info.Label,
-			totals.Get(hpm.User, ev), totals.Get(hpm.System, ev))
+	for ev, prefix := range counterPrefixes {
+		if w.Available() < maxCounterLine {
+			w.Flush()
+		}
+		b := append(w.AvailableBuffer(), prefix...)
+		b = strconv.AppendUint(b, totals.Counts[hpm.User][ev], 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, totals.Counts[hpm.System][ev], 10)
+		w.Write(append(b, '\n'))
 	}
 }
 
@@ -346,23 +375,41 @@ func (c *Client) Close() error {
 
 var errProtocol = errors.New("rs2hpm: protocol error")
 
+// daemonError is an ERR response the daemon sent in place of one node's
+// snapshot. Unlike every other protocol error it leaves the response
+// stream in step, so a batch records it against that node and reads on.
+type daemonError struct{ msg string }
+
+func (e *daemonError) Error() string { return errProtocol.Error() + ": " + e.msg }
+func (e *daemonError) Unwrap() error { return errProtocol }
+
+// parseKeyInt parses a line that must be exactly key, one space and one
+// decimal integer in strconv.Atoi's syntax, such as "NODE 5".
+func parseKeyInt(line []byte, key string) (int, bool) {
+	if len(line) <= len(key)+1 || string(line[:len(key)]) != key || line[len(key)] != ' ' {
+		return 0, false
+	}
+	n, err := strconv.Atoi(string(line[len(key)+1:]))
+	return n, err == nil
+}
+
 // Nodes lists the node IDs the daemon serves.
 func (c *Client) Nodes() ([]int, error) {
-	fmt.Fprintf(c.w, "NODES\n")
+	c.w.WriteString("NODES\n")
 	if err := c.w.Flush(); err != nil {
 		return nil, err
 	}
 	var ids []int
 	for c.sc.Scan() {
-		line := strings.TrimSpace(c.sc.Text())
-		if line == "END" {
+		line := bytes.TrimSpace(c.sc.Bytes())
+		if string(line) == "END" {
 			return ids, nil
 		}
-		if strings.HasPrefix(line, "ERR") {
+		if bytes.HasPrefix(line, []byte("ERR")) {
 			return nil, fmt.Errorf("%w: %s", errProtocol, line)
 		}
-		var id int
-		if _, err := fmt.Sscanf(line, "NODE %d", &id); err != nil {
+		id, ok := parseKeyInt(line, "NODE")
+		if !ok {
 			return nil, fmt.Errorf("%w: bad line %q", errProtocol, line)
 		}
 		ids = append(ids, id)
@@ -370,38 +417,93 @@ func (c *Client) Nodes() ([]int, error) {
 	return nil, fmt.Errorf("%w: connection closed mid-response", errProtocol)
 }
 
-// Counters fetches the current extended counter totals for one node.
+// Counters fetches the current extended counter totals for one node. A
+// daemon-reported failure leaves the connection usable.
 func (c *Client) Counters(id int) (hpm.Counts64, error) {
-	var snap hpm.Counts64
-	fmt.Fprintf(c.w, "COUNTERS %d\n", id)
+	c.requestCounters(id)
 	if err := c.w.Flush(); err != nil {
-		return snap, err
+		return hpm.Counts64{}, err
 	}
-	first := true
-	for c.sc.Scan() {
-		line := strings.TrimSpace(c.sc.Text())
-		if strings.HasPrefix(line, "ERR") {
-			return snap, fmt.Errorf("%w: %s", errProtocol, line)
-		}
-		if first {
-			if !strings.HasPrefix(line, "OK") {
-				return snap, fmt.Errorf("%w: expected OK, got %q", errProtocol, line)
-			}
-			first = false
-			continue
-		}
-		if line == "END" {
+	return c.readCounters(id)
+}
+
+// requestCounters buffers one "COUNTERS <id>" request.
+func (c *Client) requestCounters(id int) {
+	c.w.WriteString("COUNTERS ")
+	c.w.Write(strconv.AppendInt(c.w.AvailableBuffer(), int64(id), 10))
+	c.w.WriteByte('\n')
+}
+
+// readCounters reads the response to one COUNTERS request for node id:
+// "OK <id>", the node's counter lines and END, or a single ERR line,
+// returned as a *daemonError. Any other error means the stream is out of
+// step and the connection must be dropped.
+func (c *Client) readCounters(id int) (hpm.Counts64, error) {
+	if !c.sc.Scan() {
+		return hpm.Counts64{}, fmt.Errorf("%w: connection closed mid-response", errProtocol)
+	}
+	line := bytes.TrimSpace(c.sc.Bytes())
+	if bytes.HasPrefix(line, []byte("ERR")) {
+		return hpm.Counts64{}, &daemonError{string(line)}
+	}
+	if got, ok := parseKeyInt(line, "OK"); !ok || got != id {
+		return hpm.Counts64{}, fmt.Errorf("%w: expected OK %d, got %q", errProtocol, id, line)
+	}
+	return readBlock(c.sc, id)
+}
+
+// readBlock reads one node's counter lines up to END. Shared by the
+// single-GET and batched decoders.
+func readBlock(sc *bufio.Scanner, id int) (hpm.Counts64, error) {
+	var snap hpm.Counts64
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if string(line) == "END" {
 			return snap, nil
 		}
-		if err := parseCounterLine(line, &snap); err != nil {
+		if err := parseCounterBytes(line, &snap); err != nil {
 			return snap, err
 		}
 	}
-	return snap, fmt.Errorf("%w: connection closed mid-response", errProtocol)
+	return snap, fmt.Errorf("%w: connection closed mid-block for node %d", errProtocol, id)
+}
+
+// parseCounterBytes decodes one counter line into the snapshot: a line
+// in exactly the form writeCounterLines emits without allocating, any
+// other through parseCounterLine, whose verdict stands.
+func parseCounterBytes(line []byte, snap *hpm.Counts64) error {
+	ev, user, sys, ok := scanCounterLine(line)
+	if !ok {
+		return parseCounterLine(string(line), snap)
+	}
+	snap.Counts[hpm.User][ev] = user
+	snap.Counts[hpm.System][ev] = sys
+	return nil
+}
+
+// scanCounterLine reads a line that is an event's counterPrefixes entry
+// followed by two decimal values and a single space between them. ok is
+// false for any other line.
+func scanCounterLine(line []byte) (ev int, user, sys uint64, ok bool) {
+	for i := 2; i < min(len(line), 4) && '0' <= line[i] && line[i] <= '9'; i++ {
+		ev = 10*ev + int(line[i]-'0')
+	}
+	if ev >= int(hpm.NumEvents) || !bytes.HasPrefix(line, counterPrefixes[ev]) {
+		return 0, 0, 0, false
+	}
+	values := line[len(counterPrefixes[ev]):]
+	sp := bytes.IndexByte(values, ' ')
+	if sp < 0 {
+		return 0, 0, 0, false
+	}
+	user, err1 := strconv.ParseUint(string(values[:sp]), 10, 64)
+	sys, err2 := strconv.ParseUint(string(values[sp+1:]), 10, 64)
+	return ev, user, sys, err1 == nil && err2 == nil
 }
 
 // parseCounterLine decodes one "C <ev> <group.idx> <label> <user> <sys>"
-// line into the snapshot. Shared by the single-GET and batched decoders.
+// line into the snapshot. It accepts any whitespace between fields and
+// is the reference parseCounterBytes is held to.
 func parseCounterLine(line string, snap *hpm.Counts64) error {
 	fields := strings.Fields(line)
 	if len(fields) != 6 || fields[0] != "C" {
