@@ -22,9 +22,37 @@ type Snapshot struct {
 	FDs int
 }
 
-// Take reads the current counts.
+// Take reads the current counts as a baseline. A goroutine already on
+// its way out when Take runs (an earlier test's runner, one whose channel
+// was just closed) would count in the baseline and hide a leak of the
+// same size, so Take reads the goroutine count until it holds steady.
 func Take() Snapshot {
+	return Snapshot{Goroutines: steadyGoroutines(), FDs: openFDs()}
+}
+
+// read reads the current counts once.
+func read() Snapshot {
 	return Snapshot{Goroutines: runtime.NumGoroutine(), FDs: openFDs()}
+}
+
+// steadyReads is how many further reads, a millisecond apart, must agree
+// before steadyGoroutines takes a goroutine count as steady.
+const steadyReads = 3
+
+// steadyGoroutines reads the goroutine count until steadyReads reads in
+// a row agree, giving up with the last read after settleBudget.
+func steadyGoroutines() int {
+	deadline := time.Now().Add(settleBudget)
+	n := runtime.NumGoroutine()
+	for same := 0; same < steadyReads && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // openFDs counts entries in /proc/self/fd; -1 if unreadable (non-Linux).
@@ -51,7 +79,7 @@ func Check(tb testing.TB, before Snapshot) {
 	deadline := time.Now().Add(settleBudget)
 	var now Snapshot
 	for {
-		now = Take()
+		now = read()
 		if leaked(before, now) == "" {
 			return
 		}

@@ -59,7 +59,7 @@ func TestDetectsFDLeak(t *testing.T) {
 func checkFast(tb testing.TB, before Snapshot) {
 	deadline := time.Now().Add(50 * time.Millisecond)
 	for {
-		if leaked(before, Take()) == "" {
+		if leaked(before, read()) == "" {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -67,7 +67,7 @@ func checkFast(tb testing.TB, before Snapshot) {
 		}
 		runtime.Gosched()
 	}
-	now := Take()
+	now := read()
 	tb.Errorf("leakcheck: %s", leaked(before, now))
 }
 
