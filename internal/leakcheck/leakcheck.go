@@ -66,9 +66,10 @@ func openFDs() int {
 }
 
 // settleBudget bounds how long Check waits for counts to fall back to
-// the baseline. Goroutine exits and kernel-side socket teardown lag the
-// Close call that triggered them, so a leak check that reads the counts
-// immediately flakes; 5 s is far beyond any honest teardown.
+// the baseline, and how long Take waits for a steady one. Goroutine
+// exits and kernel-side socket teardown lag the Close call that
+// triggered them, so a leak check that reads the counts immediately
+// flakes; 5 s is far beyond any honest teardown.
 const settleBudget = 5 * time.Second
 
 // Check fails the test if the process holds more goroutines or file
