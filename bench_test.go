@@ -394,7 +394,7 @@ func BenchmarkMeasureStandardCold(b *testing.B) {
 
 // BenchmarkCollectorThroughput measures the sustained collection service
 // end to end: a healthy in-process fleet (4 daemons x 8 nodes) swept by
-// the pooled, batched Service over loopback TCP, every sample landing
+// the batched Service over loopback TCP, every sample landing
 // in the log through the bounded ingest queue. One iteration is eight
 // fleet-wide sweeps (8 x 32 node reads, so the single-pass `make bench`
 // timing averages away loopback jitter); the samples/s and wire bytes/s

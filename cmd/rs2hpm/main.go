@@ -2,16 +2,16 @@
 // daemon, lists the nodes it serves, and prints either raw counter totals
 // or — with -watch — the rates over a sampling interval, reduced exactly
 // as the paper's tables reduce them. With -collect it instead runs the
-// collection service: pooled connections, batched sweeps (MGET on v2
-// daemons, single-GET on v1) and a bounded ingestion queue, against one
-// daemon or a whole fleet.
+// collection service: one connection kept per daemon, batched sweeps
+// (MGET on v2 daemons, single-GET on v1) and a bounded ingestion queue,
+// against one daemon or a whole fleet.
 //
 // Usage:
 //
 //	rs2hpm -addr 127.0.0.1:7117            # raw totals per node
 //	rs2hpm -addr 127.0.0.1:7117 -watch 5s  # rates over a 5-second window
 //	rs2hpm -addrs host1:7117,host2:7117 -collect 1m -every 2s
-//	       [-pool-size 2] [-queue-depth 256] [-queue-policy block]
+//	       [-queue-depth 256] [-queue-policy block]
 package main
 
 import (
@@ -31,7 +31,6 @@ func main() {
 	collect := flag.Duration("collect", 0, "run the sustained collection service this long (0 disables)")
 	every := flag.Duration("every", time.Second, "sweep interval in collect mode")
 	addrs := flag.String("addrs", "", "comma-separated daemon addresses for collect mode (default: -addr)")
-	poolSize := flag.Int("pool-size", 2, "idle connections kept per daemon in collect mode")
 	queueDepth := flag.Int("queue-depth", 256, "bounded ingestion queue depth in collect mode")
 	queuePolicy := flag.String("queue-policy", "block", "full-queue policy in collect mode: block (lossless) or drop (gap-marked)")
 	collectors := flag.Int("collectors", 0, "concurrent collector goroutines in collect mode (0 = one per daemon, capped at 4)")
@@ -39,12 +38,15 @@ func main() {
 	flag.Parse()
 
 	if *collect > 0 {
+		if *every <= 0 {
+			fmt.Fprintf(os.Stderr, "rs2hpm: -every must be positive, got %v\n", *every)
+			os.Exit(2)
+		}
 		runCollect(collectSettings{
 			addrs:      *addrs,
 			fallback:   *addr,
 			duration:   *collect,
 			every:      *every,
-			poolSize:   *poolSize,
 			queueDepth: *queueDepth,
 			policy:     *queuePolicy,
 			collectors: *collectors,
@@ -106,7 +108,6 @@ type collectSettings struct {
 	fallback   string
 	duration   time.Duration
 	every      time.Duration
-	poolSize   int
 	queueDepth int
 	policy     string
 	collectors int
@@ -115,7 +116,7 @@ type collectSettings struct {
 
 // runCollect is the sustained-collection entry point: the paper's cron
 // sweep (once per sample period, the simulator's 900 s) run every -every
-// instead, with pooled connections and batched reads, then accounted for
+// instead, with kept connections and batched reads, then accounted for
 // exactly.
 func runCollect(s collectSettings) {
 	if s.addrs == "" {
@@ -142,14 +143,13 @@ func runCollect(s collectSettings) {
 		Addrs:      list,
 		Collectors: s.collectors,
 		Retries:    s.retries,
-		Pool:       rs2hpm.PoolConfig{Size: s.poolSize, HealthCheck: true},
 		Queue:      rs2hpm.IngestConfig{Depth: s.queueDepth, Policy: policy},
 	}, log)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("rs2hpm: collecting from %d daemon(s) every %v for %v (pool=%d queue=%d/%s)\n",
-		len(list), s.every, s.duration, s.poolSize, s.queueDepth, policy)
+	fmt.Printf("rs2hpm: collecting from %d daemon(s) every %v for %v (queue=%d/%s)\n",
+		len(list), s.every, s.duration, s.queueDepth, policy)
 
 	start := time.Now()
 	ticker := time.NewTicker(s.every)

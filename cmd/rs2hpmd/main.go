@@ -54,6 +54,14 @@ func main() {
 			rs2hpm.ProtocolV1, rs2hpm.LatestProtocol)
 		os.Exit(2)
 	}
+	if *nNodes < 0 {
+		fmt.Fprintf(os.Stderr, "rs2hpmd: -nodes must be >= 0, got %d\n", *nNodes)
+		os.Exit(2)
+	}
+	if *tick <= 0 {
+		fmt.Fprintf(os.Stderr, "rs2hpmd: -tick must be positive, got %v\n", *tick)
+		os.Exit(2)
+	}
 
 	nodes := make([]*node.Node, *nNodes)
 	streams := make([]isa.Stream, *nNodes)

@@ -45,7 +45,7 @@ type BatchEntry struct {
 	Err  error // nil when Snap is valid
 }
 
-// errUnsupported marks a daemon that does not speak MGET/VERSION — the
+// errUnsupported marks a daemon that does not speak MGET — the
 // negotiation signal, not a failure.
 var errUnsupported = errors.New("rs2hpm: daemon does not speak protocol v2")
 
@@ -144,36 +144,6 @@ func decodeBatch(sc *bufio.Scanner, want []int) ([]BatchEntry, error) {
 	return entries, nil
 }
 
-// ServerVersion probes the daemon's wire version with a VERSION command.
-// A daemon that predates VERSION answers with an unknown-command ERR,
-// which reports as version 1 — the probe never fails on old daemons.
-func (c *Client) ServerVersion() (int, error) {
-	if c.proto != 0 {
-		return c.proto, nil
-	}
-	fmt.Fprintf(c.w, "VERSION\n")
-	if err := c.w.Flush(); err != nil {
-		return 0, err
-	}
-	if !c.sc.Scan() {
-		return 0, fmt.Errorf("%w: connection closed", errProtocol)
-	}
-	line := bytes.TrimSpace(c.sc.Bytes())
-	if bytes.HasPrefix(line, []byte("ERR")) {
-		if bytes.Contains(line, []byte("unknown command")) {
-			c.proto = ProtocolV1
-			return c.proto, nil
-		}
-		return 0, fmt.Errorf("%w: %s", errProtocol, line)
-	}
-	v, ok := parseKeyInt(line, "OK RS2HPM")
-	if !ok || v < ProtocolV1 {
-		return 0, fmt.Errorf("%w: bad version response %q", errProtocol, line)
-	}
-	c.proto = v
-	return v, nil
-}
-
 // BatchCounters fetches the given nodes' totals in one round-trip when
 // the daemon speaks protocol v2, and transparently falls back to per-node
 // single-GET reads against a v1 daemon. The returned slice always has one
@@ -241,8 +211,7 @@ func (c *Client) batchFallback(ids []int) ([]BatchEntry, error) {
 		}
 		for _, id := range window {
 			snap, err := c.readCounters(id)
-			var de *daemonError
-			if err != nil && !errors.As(err, &de) {
+			if outOfStep(err) {
 				return nil, err
 			}
 			entries = append(entries, BatchEntry{Node: id, Snap: snap, Err: err})

@@ -34,9 +34,8 @@ func TestBatchCounters(t *testing.T) {
 		sources  func() []Source
 		ids      []int
 		// wantErr[i] true means entry i must carry a per-node error.
-		wantErr      []bool
-		wantVersion  int
-		wantFallback bool // the client must have downgraded to v1
+		wantErr     []bool
+		wantVersion int
 	}{
 		{
 			name:     "v2-all-healthy",
@@ -54,10 +53,9 @@ func TestBatchCounters(t *testing.T) {
 			sources: func() []Source {
 				return []Source{newFakeSource(0), newFakeSource(1)}
 			},
-			ids:          []int{0, 1},
-			wantErr:      []bool{false, false},
-			wantVersion:  ProtocolV1,
-			wantFallback: true,
+			ids:         []int{0, 1},
+			wantErr:     []bool{false, false},
+			wantVersion: ProtocolV1,
 		},
 		{
 			name:     "v2-partial-batch-failure",
@@ -75,10 +73,9 @@ func TestBatchCounters(t *testing.T) {
 			sources: func() []Source {
 				return []Source{newFakeSource(0), failingSource{id: 1}}
 			},
-			ids:          []int{0, 1},
-			wantErr:      []bool{false, true},
-			wantVersion:  ProtocolV1,
-			wantFallback: true,
+			ids:         []int{0, 1},
+			wantErr:     []bool{false, true},
+			wantVersion: ProtocolV1,
 		},
 		{
 			name:     "v2-unknown-node-is-per-entry-err",
@@ -126,15 +123,8 @@ func TestBatchCounters(t *testing.T) {
 				t.Fatalf("connection unusable after batch: %v", err)
 			}
 			// Negotiation: the client learned the daemon's version.
-			v, err := c.ServerVersion()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v != tc.wantVersion {
-				t.Errorf("negotiated version %d, want %d", v, tc.wantVersion)
-			}
-			if tc.wantFallback != (c.proto == ProtocolV1) {
-				t.Errorf("client proto = %d, fallback expected %v", c.proto, tc.wantFallback)
+			if c.proto != tc.wantVersion {
+				t.Errorf("negotiated version %d, want %d", c.proto, tc.wantVersion)
 			}
 		})
 	}
@@ -264,14 +254,15 @@ func TestBatchRawWireErrors(t *testing.T) {
 	}
 }
 
-// TestVersionCommand: the VERSION probe across daemon versions, raw.
+// TestVersionCommand: the daemon's answer to VERSION on the raw wire,
+// from either protocol version.
 func TestVersionCommand(t *testing.T) {
 	cases := []struct {
 		protocol int
-		want     int
+		want     string
 	}{
-		{ProtocolV1, ProtocolV1},
-		{ProtocolV2, ProtocolV2},
+		{ProtocolV1, `ERR unknown command "VERSION"`},
+		{ProtocolV2, "OK RS2HPM 2"},
 	}
 	for _, tc := range cases {
 		d := NewDaemonProtocol(tc.protocol, newFakeSource(0))
@@ -283,26 +274,21 @@ func TestVersionCommand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := c.ServerVersion()
-		if err != nil {
-			t.Fatalf("protocol %d: %v", tc.protocol, err)
+		if _, err := c.conn.Write([]byte("VERSION\n")); err != nil {
+			t.Fatal(err)
 		}
-		if v != tc.want {
-			t.Errorf("protocol %d negotiated as %d", tc.protocol, v)
-		}
-		// Cached: a second probe answers without a round-trip.
-		if v2, _ := c.ServerVersion(); v2 != v {
-			t.Errorf("cached version %d != probed %d", v2, v)
+		if !c.sc.Scan() || c.sc.Text() != tc.want {
+			t.Errorf("protocol %d answers VERSION with %q, want %q", tc.protocol, c.sc.Text(), tc.want)
 		}
 		c.Close()
 		d.Close()
 	}
 }
 
-// scriptedDaemon serves one connection from a reply table keyed by
-// request line, answering any other request as a v1 daemon answers an
-// unknown command. It stands in for a daemon that sends what the real
-// one never does.
+// scriptedDaemon serves connections, one at a time, from a reply table
+// keyed by request line, answering any other request as a v1 daemon
+// answers an unknown command. It stands in for a daemon that sends what
+// the real one never does.
 func scriptedDaemon(t *testing.T, replies map[string]string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -312,20 +298,22 @@ func scriptedDaemon(t *testing.T, replies map[string]string) string {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		sc := bufio.NewScanner(conn)
-		for sc.Scan() {
-			reply, ok := replies[sc.Text()]
-			if !ok {
-				reply = fmt.Sprintf("ERR unknown command %q\n", sc.Text())
-			}
-			if _, err := io.WriteString(conn, reply); err != nil {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
 				return
 			}
+			sc := bufio.NewScanner(conn)
+			for sc.Scan() {
+				reply, ok := replies[sc.Text()]
+				if !ok {
+					reply = fmt.Sprintf("ERR unknown command %q\n", sc.Text())
+				}
+				if _, err := io.WriteString(conn, reply); err != nil {
+					break
+				}
+			}
+			conn.Close()
 		}
 	}()
 	t.Cleanup(func() {

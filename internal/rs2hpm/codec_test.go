@@ -117,13 +117,12 @@ func cannedClient(resp string) *Client {
 	return &Client{sc: bufio.NewScanner(strings.NewReader(resp)), w: bufio.NewWriter(io.Discard)}
 }
 
-// TestStrictLineParses: a NODE, BATCH or version line is its keyword and
-// exactly one decimal integer; trailing text is a protocol error, not a
-// number read off the front of the line.
+// TestStrictLineParses: a NODE or BATCH line is its keyword and exactly
+// one decimal integer; trailing text is a protocol error, not a number
+// read off the front of the line.
 func TestStrictLineParses(t *testing.T) {
 	nodes := func(c *Client) error { _, err := c.Nodes(); return err }
 	batch := func(c *Client) error { _, err := c.BatchCounters([]int{0, 1}); return err }
-	version := func(c *Client) error { _, err := c.ServerVersion(); return err }
 	const blocks = "OK 0\nEND\nOK 1\nEND\n"
 	cases := []struct {
 		name string
@@ -139,9 +138,6 @@ func TestStrictLineParses(t *testing.T) {
 		{"batch", "BATCH 2\n" + blocks, batch, true},
 		{"batch trailing text", "BATCH 2x\n" + blocks, batch, false},
 		{"batch two numbers", "BATCH 2 3\n" + blocks, batch, false},
-		{"version", "OK RS2HPM 2\n", version, true},
-		{"version trailing text", "OK RS2HPM 2x\n", version, false},
-		{"version fraction", "OK RS2HPM 2.5\n", version, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

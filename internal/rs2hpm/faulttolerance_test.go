@@ -1,9 +1,10 @@
 package rs2hpm
 
 // Failure-path tests for the collection stack: the daemon's ERR response
-// for fallible sources, the Service's retry budget and gap-marking, and
-// the reset-aware delta segmentation the reducer relies on when a log
-// spans a daemon restart.
+// for fallible sources, the Service's retry budget and gap-marking, its
+// kept connection across a framing failure and a daemon restart, and the
+// reset-aware delta segmentation the reducer relies on when a log spans
+// a daemon restart.
 
 import (
 	"strings"
@@ -99,6 +100,83 @@ func TestCollectorGapMarksAbandonedReads(t *testing.T) {
 	reads, _ := dead.Stats()
 	if reads != 4 { // 1 batched attempt + 3 retries
 		t.Fatalf("dead node read %d times, want 4", reads)
+	}
+}
+
+// TestRetryOutOfStepDropsConnection: a retried read that ends on a
+// framing error, not a daemon ERR, leaves the rest of its response
+// unread. The sweep gap-marks the node and closes the connection instead
+// of keeping it, so the next sweep starts in step on a fresh one and
+// every sweep's read is accounted for.
+func TestRetryOutOfStepDropsConnection(t *testing.T) {
+	addr := scriptedDaemon(t, map[string]string{
+		"NODES":      "NODE 0\nEND\n",
+		"MGET 0":     "BATCH 1\nERR 0 read failed\n",
+		"COUNTERS 0": "OK 0\nC bogus\nEND\n",
+	})
+	log := NewSampleLog()
+	svc := newSweeper(t, addr, ServiceConfig{Retries: 1}, log)
+	for sweep := 0; sweep < 3; sweep++ {
+		if err := svc.SweepOnce(float64(sweep)); err == nil {
+			t.Errorf("sweep %d over an out-of-step connection reported no failure", sweep)
+		}
+	}
+	svc.Close()
+	l := svc.Ledger()
+	if l.Offered != 3 || l.Gapped != 3 || log.GapCount() != 3 {
+		t.Fatalf("ledger %+v with %d gap marks, want 3 offered reads and 3 gaps", l, log.GapCount())
+	}
+	if err := l.CrossFoot(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServiceRedialsAfterDaemonRestart: the daemon restarts between
+// sweeps. The sweep that finds the kept connection dead is one
+// whole-daemon failure and closes it; the next dials afresh and captures
+// every node.
+func TestServiceRedialsAfterDaemonRestart(t *testing.T) {
+	srcs := []Source{newFakeSource(0), newFakeSource(1)}
+	first, addr := startDaemon(t, srcs...)
+	log := NewSampleLog()
+	svc := newSweeper(t, addr, ServiceConfig{}, log)
+	dials0, discards0 := telPoolDials.Value(), telPoolDiscards.Value()
+	if err := svc.SweepOnce(0); err != nil {
+		t.Fatal(err)
+	}
+
+	first.Close()
+	restarted := NewDaemon(srcs...)
+	if _, err := restarted.Start(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restarted.Close)
+	if err := svc.SweepOnce(1); err == nil {
+		t.Fatal("sweep over the dead kept connection succeeded")
+	}
+	svc.mu.Lock()
+	kept := svc.kept[0]
+	svc.mu.Unlock()
+	if kept != nil || telPoolDiscards.Value()-discards0 != 1 {
+		t.Fatalf("dead connection still kept (%v) or not closed (%d discards)", kept != nil, telPoolDiscards.Value()-discards0)
+	}
+	if err := svc.SweepOnce(2); err != nil {
+		t.Fatalf("sweep after the restart: %v", err)
+	}
+	svc.Close()
+
+	if got := telPoolDials.Value() - dials0; got != 2 {
+		t.Errorf("%d dials, want 2: one before the restart, one after", got)
+	}
+	l := svc.Ledger()
+	if l.SweepFailures != 1 || l.Offered != 4 || l.Captured != 4 {
+		t.Fatalf("ledger %+v, want 1 sweep failure and 4 reads offered and captured", l)
+	}
+	if err := l.CrossFoot(); err != nil {
+		t.Fatal(err)
+	}
+	if log.Len(0) != 2 || log.Len(1) != 2 {
+		t.Fatalf("samples per node %d/%d, want 2/2", log.Len(0), log.Len(1))
 	}
 }
 

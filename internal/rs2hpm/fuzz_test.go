@@ -48,7 +48,7 @@ func FuzzWireBatchDecode(f *testing.F) {
 		if err != nil {
 			// Rejected frames must say what they are: either the v1
 			// negotiation signal or a protocol error — never a bare error
-			// the pool/service layers can't classify.
+			// the service can't classify.
 			if !errors.Is(err, errUnsupported) && !errors.Is(err, errProtocol) {
 				t.Fatalf("unclassified decode error: %v", err)
 			}

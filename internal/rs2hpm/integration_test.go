@@ -37,7 +37,7 @@ func (a alwaysFails) TryCounters() (hpm.Counts64, error) {
 
 func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 	// Bracket the whole test: daemon, web server, and the service's
-	// pooled connection and drain goroutine must be returned by the
+	// kept connection and drain goroutine must be returned by the
 	// Closes below. Registered first so it runs after them.
 	before := leakcheck.Take()
 	defer leakcheck.Check(t, before)

@@ -1,8 +1,8 @@
 // Package loadtest is the load/soak harness for the sustained collection
 // service: it stands up an in-process fleet of rs2hpm daemons in four
 // variants — healthy, flaky (seeded transient read failures), dead
-// (connection refused), and slow (delayed reads) — and drives a pooled,
-// batched, backpressured collection Service against them. The harness is
+// (connection refused), and slow (delayed reads) — and drives a batched,
+// backpressured collection Service against them. The harness is
 // the proof layer for the service's contracts: after any run, Verify
 // cross-foots the sample ledger exactly (captured + gapped + dropped +
 // rejected == offered, gaps reconciled against the log) the way the
@@ -47,11 +47,16 @@ type Spec struct {
 
 	// Service shape, passed through to rs2hpm.ServiceConfig.
 	Collectors int
-	PoolSize   int
 	QueueDepth int
 	Policy     rs2hpm.BackpressurePolicy
 	SinkDelay  time.Duration // drain throttle, forces backpressure
 	Retries    int
+	// PoolSize is read by nothing: the service keeps one connection per
+	// daemon.
+	//
+	// Deprecated: kept only because the repository benchmark (perfbench)
+	// still assigns it; setting it has no effect.
+	PoolSize int
 	// Batch is read by nothing: every sweep goes through
 	// Client.BatchCounters, MGET on v2 daemons and single-GET on v1.
 	//
@@ -206,7 +211,6 @@ func New(spec Spec) (*Harness, error) {
 		Addrs:      h.addrs,
 		Collectors: spec.Collectors,
 		Retries:    spec.Retries,
-		Pool:       rs2hpm.PoolConfig{Size: spec.PoolSize, HealthCheck: true},
 		Queue: rs2hpm.IngestConfig{
 			Depth:     spec.QueueDepth,
 			Policy:    spec.Policy,

@@ -9,8 +9,9 @@
 //   - one collection path, Service: each SweepOnce reads every node of
 //     every daemon through Client.BatchCounters (one MGET round-trip on
 //     a v2 daemon, single-GET reads pipelined in windows of 128 nodes on
-//     a v1 one) into a SampleLog of wrap-corrected 64-bit snapshots. The
-//     paper's cron sweep is a one-address Service swept once per period.
+//     a v1 one), over one connection kept per daemon between sweeps,
+//     into a SampleLog of wrap-corrected 64-bit snapshots. The paper's
+//     cron sweep is a one-address Service swept once per period.
 //
 // The kernel extension of the original is replaced by direct access to
 // the simulated SCU monitor; everything from the wire up is real code
@@ -72,8 +73,9 @@ const (
 type Daemon struct {
 	protocol int // immutable after construction
 	mu       sync.Mutex
-	sources  map[int]Source // guarded by mu
-	ln       net.Listener   // guarded by mu
+	sources  map[int]Source        // guarded by mu
+	ln       net.Listener          // guarded by mu
+	conns    map[net.Conn]struct{} // guarded by mu; the open client connections
 	wg       sync.WaitGroup
 	closed   bool // guarded by mu
 }
@@ -91,7 +93,11 @@ func NewDaemonProtocol(protocol int, sources ...Source) *Daemon {
 	if protocol < ProtocolV1 || protocol > LatestProtocol {
 		panic(fmt.Sprintf("rs2hpm: unknown protocol version %d", protocol))
 	}
-	d := &Daemon{protocol: protocol, sources: make(map[int]Source, len(sources))}
+	d := &Daemon{
+		protocol: protocol,
+		sources:  make(map[int]Source, len(sources)),
+		conns:    make(map[net.Conn]struct{}),
+	}
 	for _, s := range sources {
 		//hpmlint:ignore guarded construction precedes publication; no other goroutine can hold d yet
 		d.sources[s.NodeID()] = s
@@ -128,11 +134,22 @@ func (d *Daemon) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
+		d.mu.Lock()
+		if d.closed {
+			d.mu.Unlock()
+			conn.Close()
+			return
+		}
+		d.conns[conn] = struct{}{}
+		d.mu.Unlock()
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			defer conn.Close()
 			d.serve(conn)
+			d.mu.Lock()
+			delete(d.conns, conn)
+			d.mu.Unlock()
+			conn.Close()
 		}()
 	}
 }
@@ -171,8 +188,7 @@ func (d *Daemon) serve(conn net.Conn) {
 			d.arm(w, fields[1], fields[2])
 		case "VERSION":
 			if d.protocol < ProtocolV2 {
-				// A v1 daemon predates VERSION; the client reads the
-				// unknown-command ERR as "version 1".
+				// A v1 daemon predates VERSION.
 				errf(w, "ERR unknown command %q\n", fields[0])
 				break
 			}
@@ -323,7 +339,8 @@ func (d *Daemon) arm(w *bufio.Writer, nodeArg, selection string) {
 	fmt.Fprintf(w, "OK armed %d node(s) with %s\n", armed, selection)
 }
 
-// Close stops the daemon and waits for in-flight connections.
+// Close stops the daemon: it stops accepting, closes every client
+// connection, idle or mid-request, and waits for their goroutines.
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -331,17 +348,18 @@ func (d *Daemon) Close() {
 		return
 	}
 	d.closed = true
-	ln := d.ln
-	d.mu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if d.ln != nil {
+		d.ln.Close()
 	}
+	for conn := range d.conns {
+		conn.Close()
+	}
+	d.mu.Unlock()
 	d.wg.Wait()
 }
 
 // Client speaks the daemon protocol over one TCP connection.
 type Client struct {
-	addr  string
 	conn  net.Conn
 	sc    *bufio.Scanner
 	w     *bufio.Writer
@@ -356,15 +374,11 @@ func Dial(addr string) (*Client, error) {
 	}
 	telClientDials.Inc()
 	return &Client{
-		addr: addr,
 		conn: conn,
 		sc:   bufio.NewScanner(countingReader{conn, telClientBytesRx}),
 		w:    bufio.NewWriter(countingWriter{conn, telClientBytesTx}),
 	}, nil
 }
-
-// Addr reports the daemon address this client dialed.
-func (c *Client) Addr() string { return c.addr }
 
 // Close terminates the session.
 func (c *Client) Close() error {
@@ -382,6 +396,13 @@ type daemonError struct{ msg string }
 
 func (e *daemonError) Error() string { return errProtocol.Error() + ": " + e.msg }
 func (e *daemonError) Unwrap() error { return errProtocol }
+
+// outOfStep reports whether err may have left the connection's response
+// stream out of step: any error but a daemon's ERR.
+func outOfStep(err error) bool {
+	var de *daemonError
+	return err != nil && !errors.As(err, &de)
+}
 
 // parseKeyInt parses a line that must be exactly key, one space and one
 // decimal integer in strconv.Atoi's syntax, such as "NODE 5".

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/hpm"
 )
@@ -158,6 +159,34 @@ func TestDaemonCloseIdempotent(t *testing.T) {
 	d, _ := startDaemon(t, newFakeSource(0))
 	d.Close()
 	d.Close() // must not panic or hang
+}
+
+// TestDaemonCloseDropsClients: Close does not wait for connected
+// clients to hang up. It closes their connections, so it returns with a
+// client still connected, and that client's next call fails.
+func TestDaemonCloseDropsClients(t *testing.T) {
+	d, addr := startDaemon(t, newFakeSource(0))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Nodes(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		d.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked 2 s after it was called with a client connected")
+	}
+	if ids, err := c.Nodes(); err == nil {
+		t.Fatalf("client still served after Close: nodes %v", ids)
+	}
 }
 
 func TestAddSourceAfterStart(t *testing.T) {

@@ -4,11 +4,11 @@ package rs2hpm
 // script: dial, read every node, write a file, exit, sleep one sample
 // period (the simulator's 900 s). That script is a one-address Service
 // swept once per period. Swept continuously over a fleet, the same
-// Service holds its connections (CollectorPool), collects a full sample
-// set per round-trip (Client.BatchCounters: MGET, with single-GET
-// fallback for v1 daemons), and decouples the network side from the log
-// with a bounded ingestion queue (IngestQueue). The service's ledger
-// accounts for every scheduled node read exactly once:
+// Service keeps one connection per daemon between sweeps, collects a
+// full sample set per round-trip (Client.BatchCounters: MGET, with
+// single-GET fallback for v1 daemons), and decouples the network side
+// from the log with a bounded ingestion queue (IngestQueue). The
+// service's ledger accounts for every scheduled node read exactly once:
 //
 //	offered == captured + gapped + dropped + rejected
 //
@@ -35,14 +35,13 @@ type ServiceConfig struct {
 	// Collectors is the number of concurrent sweep workers fanning over
 	// Addrs; zero selects min(len(Addrs), 4).
 	Collectors int
-	// Retries is the per-node read retry budget within a sweep (after a
-	// batched read, failed nodes are retried individually).
+	// Retries is the retry budget within a sweep: the extra dial attempts
+	// a daemon gets, and the extra reads a failed node gets after the
+	// batched read.
 	Retries int
-	// Backoff, when non-nil, runs before read-retry attempt k (1-based).
+	// Backoff, when non-nil, runs before dial or read retry attempt k
+	// (1-based).
 	Backoff func(attempt int)
-	// Pool tunes the connection pool. Pool.Retries/Backoff default to the
-	// service's Retries/Backoff when unset.
-	Pool PoolConfig
 	// Queue tunes the ingestion queue.
 	Queue IngestConfig
 }
@@ -84,10 +83,9 @@ func (l ServiceLedger) GapRate() float64 {
 
 // Service is a sustained collection service over a fleet of daemons.
 type Service struct {
-	cfg  ServiceConfig
-	pool *CollectorPool
-	q    *IngestQueue
-	log  *SampleLog
+	cfg ServiceConfig
+	q   *IngestQueue
+	log *SampleLog
 
 	sweeps        atomic.Uint64
 	daemonSweeps  atomic.Uint64
@@ -97,6 +95,9 @@ type Service struct {
 
 	mu     sync.Mutex
 	closed bool // guarded by mu
+	// kept[d] is the connection to cfg.Addrs[d] that finished the last
+	// clean sweep of that daemon, or nil.
+	kept []*Client // guarded by mu
 }
 
 // NewService builds a service collecting from cfg.Addrs into log. Close
@@ -114,17 +115,11 @@ func NewService(cfg ServiceConfig, log *SampleLog) (*Service, error) {
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
 	}
-	if cfg.Pool.Retries == 0 {
-		cfg.Pool.Retries = cfg.Retries
-	}
-	if cfg.Pool.Backoff == nil {
-		cfg.Pool.Backoff = cfg.Backoff
-	}
 	return &Service{
 		cfg:  cfg,
-		pool: NewCollectorPool(cfg.Pool),
 		q:    NewIngestQueue(log, cfg.Queue),
 		log:  log,
+		kept: make([]*Client, len(cfg.Addrs)),
 	}, nil
 }
 
@@ -148,10 +143,10 @@ func (s *Service) SweepOnce(atSeconds float64) error {
 		addr string
 		err  error
 	}
-	work := make(chan string, len(s.cfg.Addrs))
+	work := make(chan int, len(s.cfg.Addrs))
 	results := make(chan result, len(s.cfg.Addrs))
-	for _, addr := range s.cfg.Addrs {
-		work <- addr
+	for i := range s.cfg.Addrs {
+		work <- i
 	}
 	close(work)
 	var wg sync.WaitGroup
@@ -159,8 +154,8 @@ func (s *Service) SweepOnce(atSeconds float64) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for addr := range work {
-				results <- result{addr, s.sweepDaemon(addr, atSeconds)}
+			for d := range work {
+				results <- result{s.cfg.Addrs[d], s.sweepDaemon(d, atSeconds)}
 			}
 		}()
 	}
@@ -179,11 +174,13 @@ func (s *Service) SweepOnce(atSeconds float64) error {
 	return nil
 }
 
-// sweepDaemon collects one daemon's full node set once.
-func (s *Service) sweepDaemon(addr string, atSeconds float64) error {
+// sweepDaemon collects the full node set of daemon d, cfg.Addrs[d],
+// once. The connection it used is kept for the next sweep only if every
+// response on it came back in step.
+func (s *Service) sweepDaemon(d int, atSeconds float64) error {
 	s.daemonSweeps.Add(1)
 	telServiceDaemons.Inc()
-	cl, err := s.pool.Get(addr)
+	cl, err := s.take(d)
 	if err != nil {
 		s.sweepFailures.Add(1)
 		telServiceSweepFails.Inc()
@@ -193,7 +190,7 @@ func (s *Service) sweepDaemon(addr string, atSeconds float64) error {
 	if err != nil {
 		// The node list is unknowable: a whole-sweep failure, not
 		// per-node gaps.
-		s.pool.Discard(cl)
+		discard(cl)
 		s.sweepFailures.Add(1)
 		telServiceSweepFails.Inc()
 		return err
@@ -205,7 +202,7 @@ func (s *Service) sweepDaemon(addr string, atSeconds float64) error {
 		// Transport/framing failure mid-batch: the connection is
 		// poisoned and nothing landed. Gap-mark the whole schedule —
 		// the reads were offered and are now unknowable.
-		s.pool.Discard(cl)
+		discard(cl)
 		for _, id := range ids {
 			s.gapMark(id, atSeconds, err)
 		}
@@ -213,10 +210,16 @@ func (s *Service) sweepDaemon(addr string, atSeconds float64) error {
 	}
 
 	// Retry failed entries individually within the budget, then offer
-	// everything that survived to the ingestion queue.
+	// everything that survived to the ingestion queue. A retry that ends
+	// out of step poisons the connection: every later failed entry is
+	// gap-marked without a retry on it.
+	var broken error
 	for _, e := range entries {
-		if e.Err != nil {
+		if e.Err != nil && broken == nil {
 			e.Snap, e.Err = s.retryRead(cl, e.Node, e.Err)
+			if outOfStep(e.Err) {
+				broken = e.Err
+			}
 		}
 		if e.Err != nil {
 			s.gapMark(e.Node, atSeconds, e.Err)
@@ -224,15 +227,66 @@ func (s *Service) sweepDaemon(addr string, atSeconds float64) error {
 		}
 		s.q.Offer(Sample{AtSeconds: atSeconds, Node: e.Node, Snap: e.Snap})
 	}
-	s.pool.Put(cl)
+	if broken != nil {
+		discard(cl)
+		return broken
+	}
+	s.keep(d, cl)
 	return nil
 }
 
+// take hands out the connection kept for daemon d, or dials a fresh one
+// within the retry budget.
+func (s *Service) take(d int) (*Client, error) {
+	s.mu.Lock()
+	cl := s.kept[d]
+	s.kept[d] = nil
+	s.mu.Unlock()
+	if cl != nil {
+		telPoolReuses.Inc()
+		return cl, nil
+	}
+	var err error
+	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
+		if attempt > 0 && s.cfg.Backoff != nil {
+			s.cfg.Backoff(attempt)
+		}
+		if cl, err = Dial(s.cfg.Addrs[d]); err == nil {
+			telPoolDials.Inc()
+			return cl, nil
+		}
+	}
+	return nil, fmt.Errorf("%w (after %d attempt(s))", err, s.cfg.Retries+1)
+}
+
+// keep stores a connection that finished a clean sweep as daemon d's
+// for the next sweep. One that comes back after Close, or to a slot an
+// overlapping sweep already filled, is closed.
+func (s *Service) keep(d int, cl *Client) {
+	s.mu.Lock()
+	if !s.closed && s.kept[d] == nil {
+		s.kept[d] = cl
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	telPoolEvictions.Inc()
+	cl.Close()
+}
+
+// discard closes a connection that failed mid-sweep; the next sweep of
+// its daemon dials afresh.
+func discard(cl *Client) {
+	telPoolDiscards.Inc()
+	cl.Close()
+}
+
 // retryRead re-reads one node with the service's retry budget, starting
-// from the error the first attempt already produced.
+// from the error the first attempt already produced. It stops early on
+// an error that leaves the connection out of step.
 func (s *Service) retryRead(cl *Client, id int, firstErr error) (hpm.Counts64, error) {
 	lastErr := firstErr
-	for attempt := 1; attempt <= s.cfg.Retries; attempt++ {
+	for attempt := 1; attempt <= s.cfg.Retries && !outOfStep(lastErr); attempt++ {
 		telRetries.Inc()
 		if s.cfg.Backoff != nil {
 			telBackoffs.Inc()
@@ -272,7 +326,7 @@ func (s *Service) Ledger() ServiceLedger {
 }
 
 // Close shuts the service down: no further sweeps, queue drained into
-// the log, pooled connections closed. Idempotent; safe after failed
+// the log, kept connections closed. Idempotent; safe after failed
 // sweeps.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -281,7 +335,13 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
+	kept := s.kept
+	s.kept = make([]*Client, len(kept))
 	s.mu.Unlock()
 	s.q.Close()
-	s.pool.Close()
+	for _, cl := range kept {
+		if cl != nil {
+			cl.Close()
+		}
+	}
 }

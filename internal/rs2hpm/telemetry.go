@@ -34,16 +34,17 @@ var (
 	telDaemonBytesTx = telDaemon.Counter("bytes_tx")
 	telDaemonBatches = telDaemon.Counter("batches")
 
-	// The sustained-collection layers: connection pool, bounded ingestion
-	// queue, and the service that drives them. Every drop and rejection is
+	// The sustained-collection layers: the service's kept connections
+	// (rs2hpm.pool: fresh dials, reuses, connections dropped after a
+	// failure, and ones closed on return), the bounded ingestion queue,
+	// and the service that drives them. Every drop and rejection is
 	// counted here and reconciled as a gap mark in the sample log, so the
 	// telemetry and the coverage ledger cross-foot.
-	telPool            = telemetry.Default.Scope("rs2hpm.pool")
-	telPoolDials       = telPool.Counter("dials")
-	telPoolReuses      = telPool.Counter("reuses")
-	telPoolDiscards    = telPool.Counter("discards")
-	telPoolEvictions   = telPool.Counter("evictions")
-	telPoolHealthFails = telPool.Counter("health_fails")
+	telPool          = telemetry.Default.Scope("rs2hpm.pool")
+	telPoolDials     = telPool.Counter("dials")
+	telPoolReuses    = telPool.Counter("reuses")
+	telPoolDiscards  = telPool.Counter("discards")
+	telPoolEvictions = telPool.Counter("evictions")
 
 	telIngest         = telemetry.Default.Scope("rs2hpm.ingest")
 	telIngestOffered  = telIngest.Counter("offered")
