@@ -17,20 +17,28 @@ import (
 
 var (
 	buildOnce sync.Once
+	binDir    string
 	binPath   string
 	buildErr  error
 )
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
 
 // binary builds rs2hpm once per test run.
 func binary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "rs2hpm-bin-*")
-		if err != nil {
-			buildErr = err
+		binDir, buildErr = os.MkdirTemp("", "rs2hpm-bin-*")
+		if buildErr != nil {
 			return
 		}
-		binPath = filepath.Join(dir, "rs2hpm")
+		binPath = filepath.Join(binDir, "rs2hpm")
 		out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput()
 		if err != nil {
 			buildErr = err

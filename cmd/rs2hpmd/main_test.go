@@ -25,6 +25,14 @@ var (
 	buildErr  error
 )
 
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
 // binaries builds rs2hpmd and rs2hpm once per test run and returns their
 // paths.
 func binaries(t *testing.T) (daemon, collector string) {
@@ -153,7 +161,11 @@ func TestCollectAcrossDaemonInterrupt(t *testing.T) {
 		t.Fatal("rs2hpmd still running 1 s after SIGINT")
 	}
 
-	<-collector.done
+	select {
+	case <-collector.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("rs2hpm -collect 3s still running after 10 s")
+	}
 	if collector.err != nil {
 		t.Fatalf("rs2hpm: %v\nstdout:\n%s\nstderr:\n%s", collector.err, stdout.String(), stderr.String())
 	}
