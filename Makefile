@@ -137,6 +137,7 @@ examples-smoke:
 # pattern per invocation, so each target gets its own run.
 # FuzzDatabaseDecode's seeds include whole campaign databases; the short
 # -fuzzminimizetime keeps it from spending FUZZTIME shrinking one of them.
+# FuzzDatabaseEncode's inputs are databases too, and get the same bound.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanInvariants$$' -fuzztime $(FUZZTIME) ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzEpilogueDelay$$' -fuzztime $(FUZZTIME) ./internal/faults/
@@ -146,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzDatabaseDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDatabaseEncode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/rs2hpm/
 	$(GO) test -run '^$$' -fuzz '^FuzzCounterLine$$' -fuzztime $(FUZZTIME) ./internal/rs2hpm/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayDecode$$' -fuzztime $(FUZZTIME) ./internal/replay/

@@ -9,6 +9,7 @@ package core
 // mismatch error.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"hash/fnv"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/replay"
 	"repro/internal/spec"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -137,6 +139,30 @@ func TestTraceFixturesReplay(t *testing.T) {
 			other := fixtureMembers(t, fx, 8, 1)
 			if _, err := fleet.Run(other, fleet.Options{ReplayFrom: path}); !errors.Is(err, replay.ErrMismatch) {
 				t.Fatalf("replay at seed 8: %v, want ErrMismatch", err)
+			}
+		})
+	}
+}
+
+// TestTraceFixturesDatabaseBytes: the database trace.Write emits for each
+// fixture's replayed Result, faulted, heterogeneous and 2-cluster
+// included, is encoding/json's encoding of its envelope, byte for byte.
+func TestTraceFixturesDatabaseBytes(t *testing.T) {
+	for _, fx := range traceFixtures {
+		t.Run(fx.file, func(t *testing.T) {
+			res, err := fleet.Run(fixtureMembers(t, fx, 7, 1), fleet.Options{ReplayFrom: filepath.Join("testdata", fx.file)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want bytes.Buffer
+			if err := trace.Write(&got, res); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewEncoder(&want).Encode(trace.Envelope{Version: trace.FormatVersion, Result: res}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("trace.Write's %d bytes are not encoding/json's %d", got.Len(), want.Len())
 			}
 		})
 	}

@@ -121,8 +121,21 @@ type Journal struct {
 	w  syncWriter // fileWriter(f); guarded by mu
 	// err is the first failed append. It may have left part of a record
 	// at the end of the file, which readers drop only while it is the last
-	// record, so every later Append returns err instead. Guarded by mu.
+	// record, so every later Append returns err instead; guarded by mu.
 	err error
+	// spare is the scratch the last append encoded its record in, kept
+	// for the next one, so that appends stop allocating once it has grown
+	// to a record's size. An append that overlaps another finds it taken
+	// and starts a scratch of its own; guarded by mu.
+	spare *segmentBuf
+}
+
+// segmentBuf is what an append encodes its record in: the plain record
+// and, for a ".gz" journal, the gzip writer and the member it writes.
+type segmentBuf struct {
+	plain []byte
+	zw    *gzip.Writer
+	z     bytes.Buffer
 }
 
 // CreateJournal starts a fresh checkpoint at path for a fleet of the
@@ -212,12 +225,32 @@ func openJournal(path string, cut int64) (*Journal, error) {
 // Append records a completed cluster: it encodes the cluster's segment,
 // then appends it and fsyncs the file.
 func (j *Journal) Append(cluster int, res workload.Result) error {
-	rec, err := encodeSegment(cluster, res, j.gz)
-	if err != nil {
-		return err
-	}
+	s := j.takeSpare()
+	rec, err := s.record(cluster, &res, j.gz)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err == nil {
+		err = j.writeLocked(rec)
+	}
+	j.spare = s // rec is written, so the next append may reuse s
+	return err
+}
+
+// takeSpare hands out the journal's spare scratch, or a new one while
+// another append holds it.
+func (j *Journal) takeSpare() *segmentBuf {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	s := j.spare
+	j.spare = nil
+	if s == nil {
+		s = new(segmentBuf)
+	}
+	return s
+}
+
+// writeLocked appends rec to the file and fsyncs it. The caller holds mu.
+func (j *Journal) writeLocked(rec []byte) error {
 	if j.err != nil {
 		return j.err
 	}
@@ -240,32 +273,48 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// encodeSegment returns a completed cluster's record: the frame, then
-// Write's bytes for res, compressed into a gzip member of its own when
-// gz.
-func encodeSegment(cluster int, res workload.Result, gz bool) ([]byte, error) {
-	var rec bytes.Buffer
-	rec.Write(make([]byte, frameLen)) // the frame, filled in below
-	if err := Write(&rec, res); err != nil {
-		return nil, err
+// encodeSegment returns a completed cluster's plain record, encoded in
+// buf's storage: the frame, then Write's bytes for res, appended into
+// the one buffer.
+func encodeSegment(buf []byte, cluster int, res *workload.Result) ([]byte, error) {
+	e := encoder{b: append(buf[:0], make([]byte, frameLen)...)} // the frame, filled in below
+	e.envelope(res)
+	if e.err != nil {
+		return e.b, fmt.Errorf("trace: encode: %w", e.err)
 	}
-	b := rec.Bytes()
-	putFrame(b, uint32(cluster))
-	if gz {
-		b = gzipMember(b)
+	putFrame(e.b, uint32(cluster))
+	return e.b, nil
+}
+
+// record returns a completed cluster's record, encoded in s and valid
+// until s is next used: encodeSegment's bytes, compressed into a gzip
+// member of its own when gz.
+func (s *segmentBuf) record(cluster int, res *workload.Result, gz bool) ([]byte, error) {
+	rec, err := encodeSegment(s.plain, cluster, res)
+	s.plain = rec
+	if err != nil || !gz {
+		return rec, err
 	}
-	return b, nil
+	return s.member(rec), nil
+}
+
+// member returns b compressed into a gzip member of its own at
+// journalLevel, in s's buffer.
+func (s *segmentBuf) member(b []byte) []byte {
+	s.z.Reset()
+	if s.zw == nil {
+		s.zw, _ = gzip.NewWriterLevel(&s.z, journalLevel) // a valid level never fails
+	} else {
+		s.zw.Reset(&s.z)
+	}
+	s.zw.Write(b) // a bytes.Buffer takes every write
+	s.zw.Close()
+	return s.z.Bytes()
 }
 
 // gzipMember returns b compressed into a gzip member of its own at
 // journalLevel.
-func gzipMember(b []byte) []byte {
-	var z bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&z, journalLevel) // a valid level never fails
-	zw.Write(b)                                    // a bytes.Buffer takes every write
-	zw.Close()
-	return z.Bytes()
-}
+func gzipMember(b []byte) []byte { return new(segmentBuf).member(b) }
 
 // ReadFleetCheckpointFile loads the checkpoint at path, dropping a torn
 // final record.

@@ -50,13 +50,23 @@ func encodeCheckpoint(t testing.TB, cp FleetCheckpoint, gz bool) []byte {
 	}
 	buf.Write(hdr)
 	for _, d := range cp.Done {
-		rec, err := encodeSegment(d.Cluster, d.Result, gz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(rec)
+		buf.Write(segmentRecord(t, d, gz))
 	}
 	return buf.Bytes()
+}
+
+// segmentRecord is d's record as Append writes it, encoded in a fresh
+// buffer and compressed by a fresh gzip writer when gz.
+func segmentRecord(t testing.TB, d FleetClusterResult, gz bool) []byte {
+	t.Helper()
+	rec, err := encodeSegment(nil, d.Cluster, &d.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gz {
+		rec = gzipMember(rec)
+	}
+	return rec
 }
 
 // recordEnds returns where each record of cp's journal ends: the header,
@@ -67,11 +77,7 @@ func recordEnds(t testing.TB, cp FleetCheckpoint, gz bool) []int {
 	hdr.Done = nil
 	ends := []int{len(encodeCheckpoint(t, hdr, gz))}
 	for _, d := range cp.Done {
-		rec, err := encodeSegment(d.Cluster, d.Result, gz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends = append(ends, ends[len(ends)-1]+len(rec))
+		ends = append(ends, ends[len(ends)-1]+len(segmentRecord(t, d, gz)))
 	}
 	return ends
 }
@@ -415,10 +421,7 @@ func TestJournalConcurrentAppends(t *testing.T) {
 func TestJournalFailedAppend(t *testing.T) {
 	cp := sampleCheckpoint()
 	for _, name := range []string{"fleet.ckpt", "fleet.ckpt.gz"} {
-		seg, err := encodeSegment(cp.Done[1].Cluster, cp.Done[1].Result, strings.HasSuffix(name, ".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		seg := segmentRecord(t, cp.Done[1], strings.HasSuffix(name, ".gz"))
 		for _, n := range []int{0, 1, frameLen - 1, frameLen, frameLen + 1, len(seg) - 1, -1} {
 			path := filepath.Join(t.TempDir(), name)
 			injected := injectFaults(t, n, true)

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -26,10 +25,15 @@ type Envelope struct {
 	Result  workload.Result `json:"result"`
 }
 
-// Write serialises the result to w as JSON.
+// Write serialises the result to w as JSON: exactly the bytes
+// json.NewEncoder(w).Encode writes for its Envelope, trailing newline
+// included (encode.go). It encodes on the caller's goroutine and hands w
+// the bytes in chunks on a goroutine of its own, so a compressing w
+// works beside the encoder; that goroutine has ended when Write returns.
+// A NaN or infinite float fails, as it fails in encoding/json. On any
+// error w may have taken a prefix of the envelope.
 func Write(w io.Writer, res workload.Result) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(Envelope{Version: FormatVersion, Result: res}); err != nil {
+	if err := streamEnvelope(w, &res); err != nil {
 		return fmt.Errorf("trace: encode: %w", err)
 	}
 	return nil
@@ -47,7 +51,9 @@ func Read(r io.Reader) (workload.Result, error) {
 }
 
 // WriteFile writes the result to path atomically; a ".gz" suffix enables
-// gzip compression (the counter arrays compress extremely well).
+// gzip compression (the counter arrays compress extremely well). When
+// Write fails, the File is aborted, so the path holds what it held
+// before, whatever prefix of the envelope reached the temporary file.
 func WriteFile(path string, res workload.Result) error {
 	return writeFile(path, func(w io.Writer) error { return Write(w, res) })
 }
