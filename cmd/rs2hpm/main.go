@@ -42,13 +42,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rs2hpm: -every must be positive, got %v\n", *every)
 			os.Exit(2)
 		}
+		policy, ok := queuePolicies[*queuePolicy]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "rs2hpm: -queue-policy must be block or drop, got %q\n", *queuePolicy)
+			os.Exit(2)
+		}
 		runCollect(collectSettings{
 			addrs:      *addrs,
 			fallback:   *addr,
 			duration:   *collect,
 			every:      *every,
 			queueDepth: *queueDepth,
-			policy:     *queuePolicy,
+			policy:     policy,
 			collectors: *collectors,
 			retries:    *retries,
 		})
@@ -102,6 +107,12 @@ func main() {
 	}
 }
 
+// queuePolicies are -queue-policy's values.
+var queuePolicies = map[string]rs2hpm.BackpressurePolicy{
+	"block": rs2hpm.BlockOnFull,
+	"drop":  rs2hpm.DropWithGap,
+}
+
 // collectSettings carries the -collect mode flags.
 type collectSettings struct {
 	addrs      string
@@ -109,7 +120,7 @@ type collectSettings struct {
 	duration   time.Duration
 	every      time.Duration
 	queueDepth int
-	policy     string
+	policy     rs2hpm.BackpressurePolicy
 	collectors int
 	retries    int
 }
@@ -128,28 +139,18 @@ func runCollect(s collectSettings) {
 			list = append(list, a)
 		}
 	}
-	var policy rs2hpm.BackpressurePolicy
-	switch s.policy {
-	case "block":
-		policy = rs2hpm.BlockOnFull
-	case "drop":
-		policy = rs2hpm.DropWithGap
-	default:
-		fail(fmt.Errorf("-queue-policy must be block or drop, got %q", s.policy))
-	}
-
 	log := rs2hpm.NewSampleLog()
 	svc, err := rs2hpm.NewService(rs2hpm.ServiceConfig{
 		Addrs:      list,
 		Collectors: s.collectors,
 		Retries:    s.retries,
-		Queue:      rs2hpm.IngestConfig{Depth: s.queueDepth, Policy: policy},
+		Queue:      rs2hpm.IngestConfig{Depth: s.queueDepth, Policy: s.policy},
 	}, log)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("rs2hpm: collecting from %d daemon(s) every %v for %v (queue=%d/%s)\n",
-		len(list), s.every, s.duration, s.queueDepth, policy)
+		len(list), s.every, s.duration, s.queueDepth, s.policy)
 
 	start := time.Now()
 	ticker := time.NewTicker(s.every)
@@ -161,7 +162,7 @@ sweeps:
 		if err := svc.SweepOnce(time.Since(start).Seconds()); err != nil {
 			// Daemon-level failures are accounted, not fatal: the service
 			// keeps sweeping the rest of the fleet.
-			fmt.Fprintf(os.Stderr, "rs2hpm: %v\n", err)
+			report(err)
 		}
 		select {
 		case <-ticker.C:
@@ -198,7 +199,18 @@ func printTotals(id int, c hpm.Counts64) {
 	}
 }
 
+// fail reports err and exits 1.
 func fail(err error) {
-	fmt.Fprintf(os.Stderr, "rs2hpm: %v\n", err)
+	report(err)
 	os.Exit(1)
+}
+
+// report prints err on stderr under the command's name, which the
+// rs2hpm package's errors already carry.
+func report(err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "rs2hpm: ") {
+		msg = "rs2hpm: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 }

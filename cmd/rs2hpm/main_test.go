@@ -78,6 +78,7 @@ func TestFlagValidationExits2(t *testing.T) {
 	}{
 		{"every-zero", []string{"-collect", "1s", "-every", "0"}, "-every must be positive"},
 		{"every-negative", []string{"-collect", "1s", "-every", "-1s"}, "-every must be positive"},
+		{"queue-policy", []string{"-collect", "1s", "-queue-policy", "x"}, "-queue-policy must be block or drop"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,5 +92,17 @@ func TestFlagValidationExits2(t *testing.T) {
 				t.Errorf("started collecting before rejecting the flag:\n%s", stdout)
 			}
 		})
+	}
+}
+
+// A daemon that cannot be reached is a run-time failure: exit 1, with the
+// error's "rs2hpm: " prefix printed once.
+func TestDialFailureExits1(t *testing.T) {
+	stdout, stderr, code := run(t, "-addr", "127.0.0.1:1")
+	if code != 1 || !strings.HasPrefix(stderr, "rs2hpm: dial 127.0.0.1:1") || strings.Contains(stderr, "rs2hpm: rs2hpm:") {
+		t.Fatalf("exit %d, want 1 with one \"rs2hpm: dial\" prefix\nstderr: %s", code, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("stdout: %s", stdout)
 	}
 }

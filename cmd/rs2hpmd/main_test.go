@@ -182,4 +182,7 @@ func TestCollectAcrossDaemonInterrupt(t *testing.T) {
 	if captured+gapped+dropped+rejected != offered {
 		t.Fatalf("ledger does not cross-foot:\n%s", stdout.String())
 	}
+	if !strings.Contains(stderr.String(), "rs2hpm: sweep at") || strings.Contains(stderr.String(), "rs2hpm: rs2hpm:") {
+		t.Fatalf("want each sweep failure on stderr with one \"rs2hpm: \" prefix\nstderr:\n%s", stderr.String())
+	}
 }
