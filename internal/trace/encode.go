@@ -63,8 +63,8 @@ type encoder struct {
 // fills the next. Two buffers take turns.
 type handoff struct {
 	full   chan []byte // chunks for w, in order; closed after the last
-	free   chan []byte // buffers back from w, emptied
-	done   chan error  // w's first error, or nil, once the goroutine ends
+	free   chan []byte // buffers back from w, emptied; holds both, so run never blocks
+	done   chan error  // w's first error, or nil: the goroutine's last act
 	failed atomic.Bool // set at w's first error, to stop the encoder
 }
 
@@ -116,8 +116,8 @@ func (e *encoder) spill() {
 
 // streamEnvelope encodes the envelope for res on the caller's goroutine
 // and writes it to w, a chunk at a time, through a handoff. Its error is
-// w's first error, else the encoder's. The handoff's goroutine has ended
-// when it returns.
+// w's first error, else the encoder's. The handoff's goroutine is done
+// with w when it returns.
 func streamEnvelope(w io.Writer, res *workload.Result) error {
 	h := startHandoff(w)
 	e := encoder{b: <-h.free, out: h}
@@ -182,7 +182,7 @@ func (e *encoder) config(c *workload.Config) {
 	e.raw(`,"Nodes":`)
 	e.int(c.Nodes)
 	e.raw(`,"Seed":`)
-	e.b = strconv.AppendUint(e.b, c.Seed, 10)
+	e.uint(c.Seed)
 	e.raw(`,"SamplePeriodSeconds":`)
 	e.float(c.SamplePeriodSeconds)
 	e.raw(`,"MeanUtil":`)
@@ -232,7 +232,7 @@ func (e *encoder) record(r *pbs.Record) {
 	e.raw(`,"WallSeconds":`)
 	e.float(r.WallSeconds)
 	e.raw(`,"MemoryPerNodeBytes":`)
-	e.b = strconv.AppendUint(e.b, r.MemoryPerNodeBytes, 10)
+	e.uint(r.MemoryPerNodeBytes)
 	e.raw(`,"Preemptions":`)
 	e.int(r.Preemptions)
 	e.raw(`,"PerNode":`)
@@ -265,6 +265,9 @@ func (e *encoder) raw(s string) { e.b = append(e.b, s...) }
 
 // int appends a JSON integer.
 func (e *encoder) int(v int) { e.b = strconv.AppendInt(e.b, int64(v), 10) }
+
+// uint appends a JSON integer.
+func (e *encoder) uint(v uint64) { e.b = strconv.AppendUint(e.b, v, 10) }
 
 // float appends f as encoding/json writes a float64: like %g, with the
 // shortest digits that read back to f, but in 'e' form only below 1e-6

@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -292,6 +293,28 @@ func TestWriteReturnsWriterError(t *testing.T) {
 		}
 	}
 	leakcheck.Check(t, before)
+}
+
+// Once its writer has failed, the encoder stops at its next full chunk
+// instead of encoding the rest of the envelope.
+func TestEncoderStopsAfterWriterError(t *testing.T) {
+	w := &failingWriter{failAt: 0}
+	h := startHandoff(w)
+	e := encoder{b: <-h.free, out: h}
+	e.b = append(e.b, make([]byte, chunkSize)...)
+	e.spill() // the chunk the writer fails on
+	for !h.failed.Load() {
+		runtime.Gosched()
+	}
+	e.b = append(e.b[:0], make([]byte, chunkSize)...)
+	e.spill()
+	close(h.full)
+	if err := <-h.done; !errors.Is(err, errInjected) {
+		t.Fatalf("handoff ends with %v", err)
+	}
+	if e.err != errStopped || w.calls != 1 {
+		t.Fatalf("encoder error %v and %d writes after the writer failed; want errStopped and 1", e.err, w.calls)
+	}
 }
 
 // decodeCorpus is FuzzDatabaseDecode's committed corpus: files of a

@@ -29,7 +29,8 @@ type Envelope struct {
 // json.NewEncoder(w).Encode writes for its Envelope, trailing newline
 // included (encode.go). It encodes on the caller's goroutine and hands w
 // the bytes in chunks on a goroutine of its own, so a compressing w
-// works beside the encoder; that goroutine has ended when Write returns.
+// works beside the encoder; that goroutine is done with w when Write
+// returns.
 // A NaN or infinite float fails, as it fails in encoding/json. On any
 // error w may have taken a prefix of the envelope.
 func Write(w io.Writer, res workload.Result) error {
