@@ -81,7 +81,7 @@ var edgeFloats = []float64{
 // a string: HTML characters, quotes and backslashes, control bytes,
 // U+2028 and U+2029, non-ASCII text and invalid UTF-8.
 var edgeNames = []string{
-	"", "u01", "production-cfd", "<script>", "a&b", "x>y", `say "hi"`, `back\slash`,
+	"", "u01", "production-cfd", "<script>", "a<b", "a&b", "x>y", `say "hi"`, `back\slash`,
 	"line\u2028sep", "para\u2029sep", "café", "日本語", "\xff\xfe invalid", "cut \xe6\x97",
 	"tab\there", "nul\x00", "del\x7f", "new\nline", "plain ~!@#$%^*()_+{}|:?[];',./`",
 }
