@@ -103,7 +103,7 @@ func TestTable3Structure(t *testing.T) {
 
 func TestTable3DerivedStatistics(t *testing.T) {
 	t3 := ComputeTable3(campaign(t))
-	if t3.DayIndex == 0 && len(GoodDays(campaign(t))) == 0 {
+	if t3.DayIndex == 0 && len(goodDayIndices(campaign(t))) == 0 {
 		t.Skip("no good days")
 	}
 	// fma share ~54% (band 40-65).
@@ -410,33 +410,5 @@ func TestFigure4ForOtherNodeCounts(t *testing.T) {
 	a, b := ComputeFigure4(r), ComputeFigure4For(r, 16)
 	if a.Mean != b.Mean || len(a.JobMflops) != len(b.JobMflops) {
 		t.Fatal("ComputeFigure4 != ComputeFigure4For(16)")
-	}
-}
-
-func TestUserReport(t *testing.T) {
-	r := campaign(t)
-	rep := ComputeUserReport(r)
-	if len(rep.Rows) == 0 {
-		t.Fatal("no users")
-	}
-	totalJobs := 0
-	for i, row := range rep.Rows {
-		totalJobs += row.Jobs
-		if row.Jobs <= 0 || row.NodeSeconds <= 0 {
-			t.Fatalf("degenerate row %+v", row)
-		}
-		if i > 0 && row.NodeSeconds > rep.Rows[i-1].NodeSeconds {
-			t.Fatal("rows not sorted by node-seconds")
-		}
-	}
-	if totalJobs != len(r.Records) {
-		t.Fatalf("user jobs %d != records %d", totalJobs, len(r.Records))
-	}
-	s := rep.Render(5)
-	if !strings.Contains(s, "node-seconds") || !strings.Contains(s, "more users") {
-		t.Fatalf("render broken:\n%s", s)
-	}
-	if strings.Count(s, "\n") > 9 {
-		t.Fatalf("top-5 render too long:\n%s", s)
 	}
 }

@@ -261,76 +261,3 @@ func ComputeFigure4For(res workload.Result, nodes int) Figure4Data {
 	f.TrendPerJob, _ = stats.LinearFit(idx, f.JobMflops)
 	return f
 }
-
-// UserRow is one user's accounting summary.
-type UserRow struct {
-	User            string
-	Jobs            int
-	NodeSeconds     float64
-	WeightedMflops  float64 // walltime-weighted per-node rate
-	WorstSysUserFXU float64
-}
-
-// UserReport summarises the batch database by user — the view the paper
-// says "users and system personnel may examine and analyze".
-type UserReport struct {
-	Rows []UserRow // sorted by node-seconds, descending
-}
-
-// ComputeUserReport aggregates the records per user.
-func ComputeUserReport(res workload.Result) UserReport {
-	type agg struct {
-		jobs    int
-		ns      float64
-		mfW     float64
-		wallSum float64
-		worst   float64
-	}
-	users := map[string]*agg{}
-	for _, r := range res.Records {
-		a := users[r.User]
-		if a == nil {
-			a = &agg{}
-			users[r.User] = a
-		}
-		a.jobs++
-		a.ns += float64(float64(r.NodesUsed) * r.WallSeconds)
-		a.mfW += float64(r.PerNodeRates().MflopsAll * r.WallSeconds)
-		a.wallSum += r.WallSeconds
-		if ratio := r.SystemUserFXURatio(); ratio > a.worst {
-			a.worst = ratio
-		}
-	}
-	var rep UserReport
-	for u, a := range users {
-		row := UserRow{User: u, Jobs: a.jobs, NodeSeconds: a.ns, WorstSysUserFXU: a.worst}
-		if a.wallSum > 0 {
-			row.WeightedMflops = a.mfW / a.wallSum
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	sort.Slice(rep.Rows, func(i, j int) bool {
-		//hpmlint:ignore floatcompare sort tie-break needs exact comparison for a total order
-		if rep.Rows[i].NodeSeconds != rep.Rows[j].NodeSeconds {
-			return rep.Rows[i].NodeSeconds > rep.Rows[j].NodeSeconds
-		}
-		return rep.Rows[i].User < rep.Rows[j].User
-	})
-	return rep
-}
-
-// Render formats the top of the user report.
-func (u UserReport) Render(top int) string {
-	var b strings.Builder
-	b.WriteString("Per-user batch accounting (node-seconds, walltime-weighted Mflops/node)\n")
-	fmt.Fprintf(&b, "%-6s %6s %14s %12s %14s\n", "user", "jobs", "node-seconds", "Mflops/node", "worst sys/user")
-	for i, r := range u.Rows {
-		if top > 0 && i >= top {
-			fmt.Fprintf(&b, "... and %d more users\n", len(u.Rows)-top)
-			break
-		}
-		fmt.Fprintf(&b, "%-6s %6d %14.0f %12.1f %14.2f\n",
-			r.User, r.Jobs, r.NodeSeconds, r.WeightedMflops, r.WorstSysUserFXU)
-	}
-	return b.String()
-}

@@ -18,18 +18,10 @@ import (
 // exceeding 2.0 Gflops" (30 of 270 days).
 const GoodDayThresholdGflops = 2.0
 
-// GoodDays returns the days above the threshold.
-func GoodDays(res workload.Result) []workload.Day {
-	var out []workload.Day
-	for _, i := range goodDayIndices(res) {
-		out = append(out, res.Days[i])
-	}
-	return out
-}
-
-// goodDayIndices is the index form of GoodDays. The reductions below work
-// on indices rather than Day values so a faulted campaign's coverage
-// ledger (keyed by day index) stays attached to each day.
+// goodDayIndices returns the indices of the days above the threshold. The
+// reductions below work on indices rather than Day values so a faulted
+// campaign's coverage ledger (keyed by day index) stays attached to each
+// day.
 func goodDayIndices(res workload.Result) []int {
 	var out []int
 	for i := range res.Days {

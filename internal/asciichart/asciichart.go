@@ -1,8 +1,9 @@
 // Package asciichart renders the paper's figures as terminal plots: line
-// charts with multiple series (Figure 1, 4), bar charts (Figure 2), and
-// scatter plots (Figures 3, 5). Pure text, no dependencies — the harness
-// prints the same series the paper plots and the shapes are judged by eye
-// and by the accompanying numeric summaries.
+// charts with multiple series (Figures 1, 4) and scatter plots (Figures 3,
+// 5) plotted point by point on a Canvas, and Figure 2's bar chart drawn as
+// one text row per bar. Pure text, no dependencies — the harness prints
+// the same series the paper plots and the shapes are judged by eye and by
+// the accompanying numeric summaries.
 package asciichart
 
 import (
@@ -68,22 +69,6 @@ func (c *Canvas) Line(xs, ys []float64, glyph rune) {
 	}
 	for i := range xs {
 		c.Plot(xs[i], ys[i], glyph)
-	}
-}
-
-// VBar draws a vertical bar from the x axis (or the window bottom) up to y.
-func (c *Canvas) VBar(x, y float64, glyph rune) {
-	col, top, ok := c.pixel(x, y)
-	if !ok {
-		// Clip the height to the top of the window but keep the bar.
-		if x < c.x0 || x > c.x1 || y < c.y0 {
-			return
-		}
-		col, top, _ = c.pixel(x, c.y1)
-	}
-	base := c.h - 1
-	for row := top; row <= base; row++ {
-		c.cells[row][col] = glyph
 	}
 }
 

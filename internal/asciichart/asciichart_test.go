@@ -65,27 +65,6 @@ func TestLineMismatchPanics(t *testing.T) {
 	c.Line([]float64{1, 2}, []float64{1}, '*')
 }
 
-func TestVBarFillsColumn(t *testing.T) {
-	c := NewCanvas(10, 5, 0, 9, 0, 4)
-	c.VBar(3, 4, '#')
-	col := 3 * (10 - 1) / 9
-	for row := 0; row < 5; row++ {
-		if c.cells[row][col] != '#' {
-			t.Fatalf("bar gap at row %d", row)
-		}
-	}
-}
-
-func TestVBarClipsTall(t *testing.T) {
-	c := NewCanvas(10, 5, 0, 9, 0, 4)
-	c.VBar(3, 100, '#') // taller than window: clipped to full height
-	col := 3 * (10 - 1) / 9
-	if c.cells[0][col] != '#' {
-		t.Fatal("tall bar not clipped to top")
-	}
-	c.VBar(-5, 2, '#') // out of x range: ignored, must not panic
-}
-
 func TestCanvasStringHasFrame(t *testing.T) {
 	c := NewCanvas(20, 8, 0, 10, 0, 5)
 	s := c.String()

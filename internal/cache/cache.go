@@ -54,18 +54,6 @@ type Stats struct {
 	Castouts uint64 // modified lines written back on eviction
 }
 
-// MissRatio reports misses over total references (0 for no references).
-func (s Stats) MissRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
-}
-
-// Accesses reports total references.
-func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
-
 type line struct {
 	tag   uint64
 	valid bool
@@ -88,7 +76,6 @@ type line struct {
 type Cache struct {
 	cfg   Config
 	lines []line // nsets*ways, set s occupying [s*ways, (s+1)*ways)
-	nsets int
 	ways  int
 
 	setMask   uint64
@@ -118,7 +105,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:       cfg,
 		lines:     make([]line, nsets*cfg.Ways),
-		nsets:     nsets,
 		ways:      cfg.Ways,
 		setMask:   uint64(nsets - 1),
 		lineShift: lineShift,
@@ -132,9 +118,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the geometry the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated event counts.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -144,13 +127,6 @@ func (c *Cache) Castouts() uint64 { return c.stats.Castouts }
 
 // ResetStats zeroes the event counts without disturbing cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Sets reports the number of sets.
-func (c *Cache) Sets() int { return c.nsets }
-
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	return (addr >> c.lineShift) & c.setMask, addr >> c.tagShift
-}
 
 func uintLog2(n uint64) uint {
 	s := uint(0)
@@ -242,9 +218,9 @@ func (c *Cache) Access(addr uint64, isStore bool) bool {
 }
 
 // Contains reports whether addr currently hits without touching any state
-// or statistics (a probe, for tests and warm-up checks).
+// or statistics (a probe for tests).
 func (c *Cache) Contains(addr uint64) bool {
-	setIdx, tag := c.index(addr)
+	setIdx, tag := (addr>>c.lineShift)&c.setMask, addr>>c.tagShift
 	set := c.lines[setIdx*uint64(c.ways) : (setIdx+1)*uint64(c.ways)]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -252,19 +228,4 @@ func (c *Cache) Contains(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Flush invalidates every line, casting out modified ones (counted in
-// Castouts). Used at job boundaries: PBS gave users dedicated nodes, so a
-// new job starts cold.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			c.stats.Castouts++
-		}
-		c.lines[i] = line{}
-	}
-	for i := range c.mru {
-		c.mru[i] = -1
-	}
 }

@@ -1,31 +1,25 @@
-// Package core is the library facade: one type that wires together the
-// whole reproduction — kernel profile measurement on the POWER2 CPU model,
-// the definition of the nine-month PBS workload campaign (run through
-// internal/fleet, one cluster or many), and the analysis that regenerates
-// every table and figure of Bergeron's SC'98 measurement study.
+// Package core is the library facade: one type that wires together
+// kernel profile measurement on the POWER2 CPU model and the definition of
+// the nine-month PBS workload campaign (run through internal/fleet, one
+// cluster or many). internal/analysis regenerates every table and figure
+// of Bergeron's SC'98 measurement study from the campaign's Result.
 //
 // Typical use:
 //
 //	sys := core.New(core.Config{Seed: 1})
 //	members, err := sys.FleetMembers(0) // one 270-day, 144-node cluster
 //	res, err := fleet.Run(members, fleet.Options{})
-//	fmt.Print(sys.Report(res))
+//	fmt.Print(analysis.ComputeTable2(res).Render())
 //
 // Lower layers remain importable for finer control: power2 (the CPU),
 // hpm (the counter architecture), rs2hpm (the daemon/collector), mpi/hps
-// (message passing), pbs (the batch system), workload (the campaign) and
-// analysis (tables and figures).
+// (message passing), pbs (the batch system) and workload (the campaign).
 package core
 
 import (
 	"fmt"
 	"runtime"
-	"strings"
 
-	"repro/internal/analysis"
-	"repro/internal/hpm"
-	"repro/internal/kernels"
-	"repro/internal/power2"
 	"repro/internal/profile"
 	"repro/internal/spec"
 	"repro/internal/workload"
@@ -92,34 +86,4 @@ func measure(cfg Config) *System {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &System{cfg: cfg, std: profile.MeasureStandardWorkers(cfg.Seed, cfg.Workers)}
-}
-
-// MeasureKernel micro-simulates a registered kernel on a fresh SP2 node
-// CPU and returns its counter-derived rates.
-func (s *System) MeasureKernel(name string, instrs uint64) (hpm.Rates, error) {
-	k, ok := kernels.ByName(name)
-	if !ok {
-		return hpm.Rates{}, fmt.Errorf("core: unknown kernel %q", name)
-	}
-	cpu := power2.New(power2.Config{Seed: s.cfg.Seed + 1})
-	cpu.RunLimited(k.New(s.cfg.Seed+1), instrs)
-	d := hpm.Sub(hpm.Snapshot{}, cpu.Monitor().Snapshot())
-	return hpm.UserRates(d, cpu.Elapsed()), nil
-}
-
-// Report renders every table and figure from a campaign result.
-func (s *System) Report(res workload.Result) string {
-	var b strings.Builder
-	b.WriteString(analysis.RenderTable1())
-	b.WriteString("\n")
-	b.WriteString(analysis.ComputeTable2(res).Render())
-	b.WriteString("\n")
-	b.WriteString(analysis.ComputeTable3(res).Render())
-	b.WriteString("\n")
-	seq := analysis.MeasureSequentialRow(s.cfg.Seed, 200_000)
-	bt := analysis.MeasureBT49Row(analysis.DefaultBT49())
-	b.WriteString(analysis.ComputeTable4(res, seq, bt).Render())
-	b.WriteString("\n")
-	b.WriteString(analysis.RenderAll(res))
-	return b.String()
 }

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/fleet"
-	"repro/internal/hpm"
-	"repro/internal/rs2hpm"
 	"repro/internal/spec"
 	"repro/internal/workload"
 )
@@ -99,19 +97,6 @@ func TestProfilesOrdered(t *testing.T) {
 	}
 }
 
-func TestMeasureKernel(t *testing.T) {
-	r, err := system(t).MeasureKernel("matmul", 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.MflopsAll < 180 {
-		t.Fatalf("matmul = %.1f Mflops", r.MflopsAll)
-	}
-	if _, err := system(t).MeasureKernel("no-such-kernel", 10); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
 func TestEndToEndReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report in -short mode")
@@ -121,7 +106,20 @@ func TestEndToEndReport(t *testing.T) {
 	if len(res.Days) != 20 {
 		t.Fatalf("days = %d", len(res.Days))
 	}
-	rep := s.Report(res)
+	// The report as cmd/experiments assembles it with every artifact on.
+	seq := analysis.MeasureSequentialRow(s.cfg.Seed, 200_000)
+	bt := analysis.MeasureBT49Row(analysis.DefaultBT49())
+	rep := strings.Join([]string{
+		analysis.RenderTable1(),
+		analysis.ComputeTable2(res).Render(),
+		analysis.ComputeTable3(res).Render(),
+		analysis.ComputeTable4(res, seq, bt).Render(),
+		analysis.ComputeFigure1(res).Render(),
+		analysis.ComputeFigure2(res).Render(),
+		analysis.ComputeFigure3(res).Render(),
+		analysis.ComputeFigure4(res).Render(),
+		analysis.ComputeFigure5(res).Render(),
+	}, "\n")
 	for _, want := range []string{
 		"Table 1", "Table 2", "Table 3", "Table 4",
 		"Figure 1", "Figure 2", "Figure 3", "Figure 4", "Figure 5",
@@ -129,68 +127,5 @@ func TestEndToEndReport(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %s", want)
 		}
-	}
-}
-
-// TestLiveMonitoringDuringCampaign runs the RS2HPM daemon over the
-// campaign's nodes while the campaign executes, sampling over TCP from a
-// concurrent collector — the deployment topology of the paper (cron
-// sampling a live machine). Counter reads must be race-free and
-// monotonically non-decreasing.
-func TestLiveMonitoringDuringCampaign(t *testing.T) {
-	cfg := workload.DefaultConfig(21)
-	cfg.Days = 3
-	camp := workload.NewCampaign(cfg, workload.DefaultMix(system(t).Profiles()))
-
-	daemon := rs2hpm.NewDaemon()
-	for _, nd := range camp.Nodes()[:8] {
-		daemon.AddSource(nd)
-	}
-	addr, err := daemon.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer daemon.Close()
-
-	stop := make(chan struct{})
-	errs := make(chan error, 1)
-	go func() {
-		defer close(errs)
-		client, err := rs2hpm.Dial(addr)
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer client.Close()
-		last := map[int]uint64{}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for id := 0; id < 8; id++ {
-				c, err := client.Counters(id)
-				if err != nil {
-					errs <- err
-					return
-				}
-				cyc := c.Get(hpm.User, hpm.EvCycles) + c.Get(hpm.System, hpm.EvCycles)
-				if cyc < last[id] {
-					errs <- fmt.Errorf("node %d cycles went backwards: %d < %d", id, cyc, last[id])
-					return
-				}
-				last[id] = cyc
-			}
-		}
-	}()
-
-	res := camp.Run()
-	close(stop)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Days) != 3 {
-		t.Fatalf("days = %d", len(res.Days))
 	}
 }

@@ -124,23 +124,6 @@ const (
 	FateDuplicated      // read twice; the second read is a zero-delta duplicate
 )
 
-// String names the fate.
-func (f Fate) String() string {
-	switch f {
-	case FateCaptured:
-		return "captured"
-	case FateDown:
-		return "down"
-	case FateDropped:
-		return "dropped"
-	case FateRebase:
-		return "rebase"
-	case FateDuplicated:
-		return "duplicated"
-	}
-	return "fate(?)"
-}
-
 // ResetKind distinguishes the two counter-reset events.
 type ResetKind uint8
 

@@ -57,9 +57,6 @@ func NewAccumulator(m *Monitor) *Accumulator {
 	return &Accumulator{mon: m, last: m.Snapshot()}
 }
 
-// Monitor exposes the underlying hardware.
-func (a *Accumulator) Monitor() *Monitor { return a.mon }
-
 // Sample reads the hardware registers, wrap-corrects against the previous
 // read, and folds the delta into the extended totals. When no register
 // moved since the last read every delta is zero, so the fold is skipped:

@@ -175,13 +175,12 @@ type Monitor struct {
 	counts [numModes][NumEvents]uint32
 	mode   Mode
 
-	// sel is the armed event selection (Table 1's NAS selection by
-	// default); router maps hardware signals onto its counter slots.
-	// divSlot marks the slots the armed selection routes a divide signal
-	// to, precomputed so per-count paths (AddDirect in particular, which
-	// the campaign's profile extrapolation calls per event per job per
-	// tick) avoid two Selection slot compares.
-	sel     Selection
+	// router maps hardware signals onto the counter slots of the armed
+	// event selection (Table 1's NAS selection by default). divSlot
+	// marks the slots the armed selection routes a divide signal to,
+	// precomputed so per-count paths (AddDirect in particular, which the
+	// campaign's profile extrapolation calls per event per job per tick)
+	// avoid two Selection slot compares.
 	router  router
 	divSlot [NumEvents]bool
 
@@ -197,14 +196,14 @@ type Monitor struct {
 // divide-counter bug enabled, as on the real machine.
 func New() *Monitor {
 	sel := NASSelection()
-	return &Monitor{divBug: true, sel: sel, router: buildRouter(sel), divSlot: buildDivSlots(sel)}
+	return &Monitor{divBug: true, router: buildRouter(sel), divSlot: buildDivSlots(sel)}
 }
 
-// NewWithoutDivBug returns a monitor whose divide counters work; used by
-// the ablation bench to show what Table 3's Mflops-div row would have been.
+// NewWithoutDivBug returns a monitor whose divide counters work. Only
+// tests build one, to run their checks with and without the bug.
 func NewWithoutDivBug() *Monitor {
 	sel := NASSelection()
-	return &Monitor{sel: sel, router: buildRouter(sel), divSlot: buildDivSlots(sel)}
+	return &Monitor{router: buildRouter(sel), divSlot: buildDivSlots(sel)}
 }
 
 // SetMode switches between user and system counting state.
@@ -214,9 +213,6 @@ func (m *Monitor) SetMode(mode Mode) {
 	}
 	m.mode = mode
 }
-
-// CurrentMode reports the counting state.
-func (m *Monitor) CurrentMode() Mode { return m.mode }
 
 // Add increments a counter slot by n in the current mode, wrapping at 32
 // bits as the hardware does. The slot is addressed by its Table 1 position;
@@ -232,9 +228,6 @@ func (m *Monitor) Add(ev Event, n uint64) {
 	}
 	m.counts[m.mode][ev] += uint32(n) // wraps naturally
 }
-
-// Inc increments an event counter by one.
-func (m *Monitor) Inc(ev Event) { m.Add(ev, 1) }
 
 // Snapshot returns the current raw register values.
 func (m *Monitor) Snapshot() Snapshot {

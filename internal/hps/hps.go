@@ -149,12 +149,3 @@ func (n *Network) Deliver(src, dst int, bytes uint64) (seconds float64, err erro
 func (n *Network) Stats() (messages, bytes uint64) {
 	return n.messages.Load(), n.bytes.Load()
 }
-
-// BisectionBandwidth reports the aggregate bandwidth available to p
-// processors; the paper notes it scales linearly.
-func (n *Network) BisectionBandwidth(p int) float64 {
-	if p < 0 {
-		p = 0
-	}
-	return float64(p) * n.cfg.BandwidthBytesPerSec
-}

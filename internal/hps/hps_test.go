@@ -160,16 +160,6 @@ func TestAttachedCount(t *testing.T) {
 	}
 }
 
-func TestBisectionScalesLinearly(t *testing.T) {
-	n := New(SP2())
-	if n.BisectionBandwidth(144) != 144*34e6 {
-		t.Fatalf("bisection = %v", n.BisectionBandwidth(144))
-	}
-	if n.BisectionBandwidth(-1) != 0 {
-		t.Fatal("negative processor count not clamped")
-	}
-}
-
 func TestTransferTimeMonotoneProperty(t *testing.T) {
 	n := New(SP2())
 	f := func(a, b uint32) bool {

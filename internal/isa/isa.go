@@ -192,9 +192,6 @@ func (s *SliceStream) Fill(buf []Instr) int {
 	return n
 }
 
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // Cycle produces an endless stream that runs each factory's stream to
 // exhaustion in rotation, recreating it on every revisit. It models a
 // solver iterating over distinct code phases (different text pages — the

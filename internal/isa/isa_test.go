@@ -133,8 +133,4 @@ func TestSliceStream(t *testing.T) {
 	if s.Fill(buf) != 0 {
 		t.Fatal("stream did not end")
 	}
-	s.Reset()
-	if Count(s) != 3 {
-		t.Fatal("Reset did not rewind")
-	}
 }

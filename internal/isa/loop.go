@@ -142,15 +142,6 @@ func (l *Loop) Fill(buf []Instr) int {
 	return n
 }
 
-// BodyLen reports the number of instructions in the body.
-func (l *Loop) BodyLen() int { return len(l.body) }
-
-// Iterations reports the configured iteration count.
-func (l *Loop) Iterations() uint64 { return l.iters }
-
-// TotalInstrs reports body length times iterations.
-func (l *Loop) TotalInstrs() uint64 { return uint64(len(l.body)) * l.iters }
-
 // Builder assembles a loop body with a small register allocator, keeping
 // kernel construction readable. Floating registers and fixed registers are
 // drawn from separate POWER2 files (32 FPRs, 32 GPRs).
@@ -249,13 +240,6 @@ func (b *Builder) FDiv(dst, a, bb uint8) {
 	b.emit(in, Ref{})
 }
 
-// FSqrt emits dst = sqrt(a) (15-cycle multicycle operation).
-func (b *Builder) FSqrt(dst, a uint8) {
-	in := MakeInstr(OpFSqrt)
-	in.Dst, in.SrcA = dst, a
-	b.emit(in, Ref{})
-}
-
 // IntALU emits a fixed-point arithmetic/logical instruction.
 func (b *Builder) IntALU(dst, a uint8) {
 	in := MakeInstr(OpIntALU)
@@ -275,9 +259,6 @@ func (b *Builder) Branch() { b.emit(MakeInstr(OpBranch), Ref{}) }
 
 // CondReg emits a condition-register logical instruction.
 func (b *Builder) CondReg() { b.emit(MakeInstr(OpCondReg), Ref{}) }
-
-// Len reports the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.body) }
 
 // Build produces the Loop. The builder can keep being used afterwards; the
 // loop owns copies.

@@ -27,8 +27,8 @@ func drain(s Stream) []Instr { return take(s, math.MaxInt) }
 func TestLoopIterationAndCount(t *testing.T) {
 	body := []Instr{MakeInstr(OpFAdd), MakeInstr(OpBranch)}
 	l := NewLoop(body, nil, 5, 0x100)
-	if l.BodyLen() != 2 || l.Iterations() != 5 || l.TotalInstrs() != 10 {
-		t.Fatalf("geometry: body=%d iters=%d total=%d", l.BodyLen(), l.Iterations(), l.TotalInstrs())
+	if len(l.body) != 2 || l.iters != 5 {
+		t.Fatalf("geometry: body=%d iters=%d", len(l.body), l.iters)
 	}
 	if got := Count(l); got != 10 {
 		t.Fatalf("Count = %d, want 10", got)
@@ -157,25 +157,24 @@ func TestBuilderEmitsExpectedBody(t *testing.T) {
 	b.FAdd(acc, acc, f0)
 	b.FMul(acc, acc, f1)
 	b.FDiv(acc, acc, f0)
-	b.FSqrt(acc, acc)
 	b.IntALU(g0, g0)
 	b.IntMulDiv(g0, g0)
 	b.Store(acc, Ref{Base: 0x3000, Stride: 8})
 	b.StoreQuad(acc, Ref{Base: 0x4000, Stride: 16})
 	b.CondReg()
 	b.Branch()
-	if b.Len() != 13 {
-		t.Fatalf("Len = %d", b.Len())
+	if len(b.body) != 12 {
+		t.Fatalf("body = %d instructions, want 12", len(b.body))
 	}
 	l := b.Build(2, 0)
 	var ops []Op
 	for _, in := range drain(l) {
 		ops = append(ops, in.Op)
 	}
-	if len(ops) != 26 {
+	if len(ops) != 24 {
 		t.Fatalf("total = %d", len(ops))
 	}
-	wantFirst := []Op{OpLoad, OpLoadQuad, OpFMA, OpFAdd, OpFMul, OpFDiv, OpFSqrt, OpIntALU, OpIntMulDiv, OpStore, OpStoreQuad, OpCondReg, OpBranch}
+	wantFirst := []Op{OpLoad, OpLoadQuad, OpFMA, OpFAdd, OpFMul, OpFDiv, OpIntALU, OpIntMulDiv, OpStore, OpStoreQuad, OpCondReg, OpBranch}
 	for i, w := range wantFirst {
 		if ops[i] != w {
 			t.Fatalf("ops[%d] = %v, want %v", i, ops[i], w)

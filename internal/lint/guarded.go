@@ -26,7 +26,7 @@ func GuardedStateAnalyzer() *Analyzer {
 	}
 }
 
-var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
+var guardedByRe = regexp.MustCompile(`(?i)guarded\s+by\s+(\w+)`)
 
 // guardedField records one annotated field.
 type guardedField struct {

@@ -10,6 +10,10 @@ type tally struct {
 	n  uint64 // guarded by mu
 	// orphan is guarded by nosuch, a guard that does not exist.
 	orphan int // want `"guarded by nosuch" names no sync\.Mutex/RWMutex field of tally`
+	// wrapped is the last count seen, and its annotation wraps: guarded
+	// by mu.
+	wrapped uint64
+	peak    uint64 // Guarded by mu.
 }
 
 // Inc locks correctly.
@@ -22,6 +26,13 @@ func (t *tally) Inc() {
 // Racy reads the counter without the lock.
 func (t *tally) Racy() uint64 {
 	return t.n // want `t\.n is guarded by t\.mu`
+}
+
+// RacyAnnotations reads, without the lock, the fields whose annotations
+// wrap across comment lines or start with a capital.
+func (t *tally) RacyAnnotations() uint64 {
+	w := t.wrapped    // want `t\.wrapped is guarded by t\.mu`
+	return w + t.peak // want `t\.peak is guarded by t\.mu`
 }
 
 // totalLocked follows the caller-holds-the-lock naming convention.

@@ -77,9 +77,6 @@ func NewWorld(net *hps.Network, nodes []*node.Node) *World {
 	return w
 }
 
-// Size reports the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Ranks returns the rank objects from the most recent Run (nil before any
 // Run), for reading final virtual times and wait fractions.
 func (w *World) Ranks() []*Rank { return w.lastRanks }
@@ -288,67 +285,6 @@ func (w *World) Run(body func(r *Rank)) {
 	for id, p := range panics {
 		if p != nil {
 			panic(fmt.Sprintf("mpi: rank %d: %v", id, p))
-		}
-	}
-}
-
-// Bcast distributes bytes from root to every other rank (binomial tree:
-// ceil(log2 p) steps). All ranks must call it; non-root ranks' clocks
-// advance to their receive time.
-func (r *Rank) Bcast(root int, bytes uint64) {
-	if root < 0 || root >= r.world.size {
-		panic(fmt.Sprintf("mpi: bcast from invalid root %d", root))
-	}
-	if r.world.size == 1 {
-		return
-	}
-	// Tree position relative to the root.
-	rel := (r.id - root + r.world.size) % r.world.size
-	steps := 0
-	for 1<<steps < r.world.size {
-		steps++
-	}
-	for s := 0; s < steps; s++ {
-		bit := 1 << s
-		if rel < bit {
-			// Already has the data: send to the partner if it exists.
-			peerRel := rel + bit
-			if peerRel < r.world.size {
-				r.Send((peerRel+root)%r.world.size, bytes)
-			}
-		} else if rel < bit*2 {
-			// Receives in this step.
-			peerRel := rel - bit
-			r.Recv((peerRel + root) % r.world.size)
-		}
-	}
-}
-
-// Reduce gathers contributions to the root (the reverse tree): every rank
-// sends its payload up; the root's clock advances to the slowest arrival.
-func (r *Rank) Reduce(root int, bytes uint64) {
-	if root < 0 || root >= r.world.size {
-		panic(fmt.Sprintf("mpi: reduce to invalid root %d", root))
-	}
-	if r.world.size == 1 {
-		return
-	}
-	rel := (r.id - root + r.world.size) % r.world.size
-	steps := 0
-	for 1<<steps < r.world.size {
-		steps++
-	}
-	for s := steps - 1; s >= 0; s-- {
-		bit := 1 << s
-		if rel < bit {
-			peerRel := rel + bit
-			if peerRel < r.world.size {
-				r.Recv((peerRel + root) % r.world.size)
-			}
-		} else if rel < bit*2 {
-			peerRel := rel - bit
-			r.Send((peerRel+root)%r.world.size, bytes)
-			return // contributed; done with the reduction
 		}
 	}
 }

@@ -296,88 +296,3 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
-
-func TestBcastReachesEveryRank(t *testing.T) {
-	for _, p := range []int{2, 4, 7, 8} {
-		w := newWorld(t, p)
-		w.Run(func(r *Rank) {
-			r.Compute(float64(r.ID()) * 0.001) // skewed start times
-			r.Bcast(0, 4096)
-		})
-		// Every non-root rank received exactly once from somewhere: total
-		// messages = p-1.
-		var msgs uint64
-		for _, r := range w.Ranks() {
-			msgs += r.MessagesSent()
-		}
-		if msgs != uint64(p-1) {
-			t.Fatalf("p=%d: bcast used %d messages, want %d", p, msgs, p-1)
-		}
-		// Non-root clocks are at or after the root's send epoch.
-		root := w.Ranks()[0]
-		for _, r := range w.Ranks()[1:] {
-			if r.Now() < root.Now()-1 {
-				t.Fatalf("p=%d: rank %d finished before data could arrive", p, r.ID())
-			}
-		}
-	}
-}
-
-func TestBcastNonZeroRoot(t *testing.T) {
-	w := newWorld(t, 5)
-	w.Run(func(r *Rank) {
-		r.Bcast(3, 128)
-	})
-	var msgs uint64
-	for _, r := range w.Ranks() {
-		msgs += r.MessagesSent()
-	}
-	if msgs != 4 {
-		t.Fatalf("messages = %d", msgs)
-	}
-}
-
-func TestReduceConvergesToRoot(t *testing.T) {
-	for _, p := range []int{2, 4, 6, 8} {
-		w := newWorld(t, p)
-		w.Run(func(r *Rank) {
-			r.Compute(float64(p-r.ID()) * 0.001) // reverse skew
-			r.Reduce(0, 800)
-		})
-		var msgs uint64
-		for _, r := range w.Ranks() {
-			msgs += r.MessagesSent()
-		}
-		if msgs != uint64(p-1) {
-			t.Fatalf("p=%d: reduce used %d messages, want %d", p, msgs, p-1)
-		}
-		// The root ends no earlier than any contributor's send time.
-		root := w.Ranks()[0]
-		for _, r := range w.Ranks()[1:] {
-			if root.Now() < float64(p-r.ID())*0.001 {
-				t.Fatalf("root finished before rank %d contributed", r.ID())
-			}
-		}
-	}
-}
-
-func TestBcastSingleRankNoop(t *testing.T) {
-	w := newWorld(t, 1)
-	w.Run(func(r *Rank) {
-		r.Bcast(0, 100)
-		r.Reduce(0, 100)
-	})
-	if w.Ranks()[0].Now() != 0 {
-		t.Fatal("single-rank collectives should be free")
-	}
-}
-
-func TestCollectiveValidation(t *testing.T) {
-	w := newWorld(t, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	w.Run(func(r *Rank) { r.Bcast(9, 1) })
-}

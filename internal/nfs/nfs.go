@@ -43,21 +43,11 @@ func (s *Server) AccountDMA(reads, writes uint64) {
 	s.bytesOut += reads * 64
 }
 
-// Capacity returns the volume size.
-func (s *Server) Capacity() uint64 { return s.capacity }
-
 // Used returns allocated bytes.
 func (s *Server) Used() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.used
-}
-
-// Files returns the number of files stored.
-func (s *Server) Files() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.files)
 }
 
 // Mount is the cluster-wide view: three home filesystems over one switch.
@@ -135,43 +125,6 @@ func (m *Mount) Write(clientNode int, path string, bytes uint64) (seconds float6
 	srv.mu.Unlock()
 
 	return m.net.Deliver(clientNode, srv.id, bytes)
-}
-
-// Read fetches a file to the given client node, returning its size and the
-// transfer time.
-func (m *Mount) Read(clientNode int, path string) (bytes uint64, seconds float64, err error) {
-	srv := m.volumeFor(path)
-	srv.mu.Lock()
-	size, ok := srv.files[path]
-	srv.mu.Unlock()
-	if !ok {
-		return 0, 0, fmt.Errorf("nfs: no such file %q", path)
-	}
-	sec, err := m.net.Deliver(srv.id, clientNode, size)
-	return size, sec, err
-}
-
-// Remove deletes a file, freeing its space.
-func (m *Mount) Remove(path string) error {
-	srv := m.volumeFor(path)
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	size, ok := srv.files[path]
-	if !ok {
-		return fmt.Errorf("nfs: no such file %q", path)
-	}
-	srv.used -= size
-	delete(srv.files, path)
-	return nil
-}
-
-// Stat returns a file's size.
-func (m *Mount) Stat(path string) (uint64, bool) {
-	srv := m.volumeFor(path)
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	size, ok := srv.files[path]
-	return size, ok
 }
 
 // List returns all paths across the volumes, sorted.

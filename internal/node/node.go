@@ -6,7 +6,6 @@
 package node
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/hpm"
@@ -23,8 +22,6 @@ type Config struct {
 	ID int
 	// MemoryBytes is physical memory; zero selects the SP2's 128 MB.
 	MemoryBytes uint64
-	// DiskBytes is local disk; zero selects the SP2's 2 GB.
-	DiskBytes uint64
 	// CPU overrides parts of the processor configuration; MemoryBytes
 	// above takes precedence for the paging model.
 	CPU power2.Config
@@ -47,9 +44,6 @@ func New(cfg Config) *Node {
 	if cfg.MemoryBytes == 0 {
 		cfg.MemoryBytes = units.NodeMemoryBytes
 	}
-	if cfg.DiskBytes == 0 {
-		cfg.DiskBytes = units.NodeDiskBytes
-	}
 	cpuCfg := cfg.CPU
 	cpuCfg.MemoryBytes = cfg.MemoryBytes
 	if cpuCfg.Seed == 0 {
@@ -59,7 +53,7 @@ func New(cfg Config) *Node {
 	return &Node{
 		id:   cfg.ID,
 		cpu:  cpu,
-		disk: NewDisk(cfg.DiskBytes),
+		disk: NewDisk(),
 		acc:  hpm.NewAccumulator(cpu.Monitor()),
 	}
 }
@@ -75,19 +69,6 @@ func (n *Node) CPU() *power2.CPU { return n.cpu }
 
 // Disk exposes the local disk model.
 func (n *Node) Disk() *Disk { return n.disk }
-
-// Run executes an instruction stream on the node's CPU and folds the new
-// hardware counts into the extended totals. Callers must keep individual
-// runs short enough that no 32-bit register wraps twice (under 2^31
-// cycles, i.e. ~30 simulated seconds — vastly more than any microsim
-// burst).
-func (n *Node) Run(s isa.Stream) power2.RunStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := n.cpu.Run(s)
-	n.acc.Sample()
-	return st
-}
 
 // RunLimited executes at most k instructions.
 func (n *Node) RunLimited(s isa.Stream, k uint64) power2.RunStats {
@@ -165,15 +146,6 @@ func (n *Node) ApplyStep(s *profile.Step, rnd *rng.Source) {
 	s.ApplyTo(n.acc, rnd)
 }
 
-// WithMonitor runs fn with exclusive access to the node's hardware
-// monitor, folding any new counts into the extended totals afterwards.
-func (n *Node) WithMonitor(fn func(m *hpm.Monitor)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	fn(n.cpu.Monitor())
-	n.acc.Sample()
-}
-
 // WithAccumulator runs fn with exclusive access to the extended counter
 // accumulator, for callers that drive it directly; the campaign's profile
 // extrapolation uses ApplyStep.
@@ -204,53 +176,19 @@ func (n *Node) ResetExtendedTotals() {
 }
 
 // Disk is the node's local disk plus its NFS path to the home filesystems:
-// a capacity bookkeeping device whose traffic also appears in the DMA
-// counters (the paper notes disk traffic shows up in the DMA read/write
-// system report). Safe for concurrent use: the simulation goroutine and
-// campaign bookkeeping may touch it from different goroutines.
+// a traffic ledger whose bytes also appear in the DMA counters (the paper
+// notes disk traffic shows up in the DMA read/write system report). Safe
+// for concurrent use: the simulation goroutine and campaign bookkeeping
+// may touch it from different goroutines.
 type Disk struct {
-	capacity uint64 // immutable after NewDisk
-
 	mu         sync.Mutex
-	used       uint64 // guarded by mu
 	readBytes  uint64 // guarded by mu
 	writeBytes uint64 // guarded by mu
 }
 
-// NewDisk builds a disk with the given capacity.
-func NewDisk(capacity uint64) *Disk {
-	return &Disk{capacity: capacity}
-}
-
-// Capacity returns the disk size in bytes.
-func (d *Disk) Capacity() uint64 { return d.capacity }
-
-// Used returns allocated bytes.
-func (d *Disk) Used() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used
-}
-
-// Allocate reserves space, failing when the disk would overflow.
-func (d *Disk) Allocate(bytes uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.used+bytes > d.capacity {
-		return fmt.Errorf("node: disk full: %d + %d > %d", d.used, bytes, d.capacity)
-	}
-	d.used += bytes
-	return nil
-}
-
-// Release frees space (clamped at zero).
-func (d *Disk) Release(bytes uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if bytes > d.used {
-		bytes = d.used
-	}
-	d.used -= bytes
+// NewDisk builds a disk with no traffic recorded.
+func NewDisk() *Disk {
+	return &Disk{}
 }
 
 // RecordIO accumulates raw traffic counters.

@@ -1,12 +1,12 @@
 package node
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/hpm"
 	"repro/internal/isa"
-	"repro/internal/units"
 )
 
 func testNode(id int) *Node { return New(Config{ID: id}) }
@@ -23,9 +23,6 @@ func TestDefaults(t *testing.T) {
 	if n.ID() != 7 || n.NodeID() != 7 {
 		t.Fatalf("IDs = %d/%d", n.ID(), n.NodeID())
 	}
-	if n.Disk().Capacity() != units.NodeDiskBytes {
-		t.Fatalf("disk = %d", n.Disk().Capacity())
-	}
 	if n.CPU().VM() == nil {
 		t.Fatal("paging model not enabled by default")
 	}
@@ -33,7 +30,7 @@ func TestDefaults(t *testing.T) {
 
 func TestRunFeedsMonitor(t *testing.T) {
 	n := testNode(0)
-	st := n.Run(fmaLoop(100))
+	st := n.RunLimited(fmaLoop(100), math.MaxUint64)
 	if st.Flops != 400 {
 		t.Fatalf("flops = %d", st.Flops)
 	}
@@ -79,11 +76,11 @@ func TestDiskIOChargesDMA(t *testing.T) {
 	}
 }
 
-func TestWithMonitorAndReset(t *testing.T) {
+func TestWithAccumulatorAndReset(t *testing.T) {
 	n := testNode(0)
-	n.WithMonitor(func(m *hpm.Monitor) { m.Add(hpm.EvCycles, 42) })
+	n.WithAccumulator(func(a *hpm.Accumulator) { a.AddDirect(hpm.User, hpm.EvCycles, 42) })
 	if n.Counters().Get(hpm.User, hpm.EvCycles) != 42 {
-		t.Fatal("WithMonitor write lost")
+		t.Fatal("WithAccumulator write lost")
 	}
 	n.ResetMonitor()
 	if n.Counters().Get(hpm.User, hpm.EvCycles) != 0 {
@@ -114,35 +111,14 @@ func TestConcurrentSnapshotsDoNotRace(t *testing.T) {
 	}
 }
 
-func TestDiskAllocate(t *testing.T) {
-	d := NewDisk(1000)
-	if err := d.Allocate(600); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Allocate(500); err == nil {
-		t.Fatal("overflow allocation succeeded")
-	}
-	if d.Used() != 600 {
-		t.Fatalf("used = %d", d.Used())
-	}
-	d.Release(100)
-	if d.Used() != 500 {
-		t.Fatalf("used after release = %d", d.Used())
-	}
-	d.Release(10000) // clamped
-	if d.Used() != 0 {
-		t.Fatalf("used after clamp release = %d", d.Used())
-	}
-}
-
 func TestSeedDerivedFromID(t *testing.T) {
 	// Different nodes must not share TLB-penalty RNG streams; same-ID
 	// nodes must be reproducible. We can only observe this indirectly:
 	// construction succeeds and a fresh node's run is deterministic.
 	a1 := testNode(3)
 	a2 := testNode(3)
-	s1 := a1.Run(fmaLoop(1000))
-	s2 := a2.Run(fmaLoop(1000))
+	s1 := a1.RunLimited(fmaLoop(1000), math.MaxUint64)
+	s2 := a2.RunLimited(fmaLoop(1000), math.MaxUint64)
 	if s1 != s2 {
 		t.Fatalf("same node ID, different run stats: %+v vs %+v", s1, s2)
 	}
@@ -184,7 +160,7 @@ func TestAddIOWaitInvisibleUnderNAS(t *testing.T) {
 
 // TestConcurrentDiskTrafficDoesNotRace drives disk bookkeeping from
 // several goroutines at once, as campaign bookkeeping and the simulation
-// goroutine may: the traffic counters and allocation must be guarded.
+// goroutine may: the traffic counters must be guarded.
 func TestConcurrentDiskTrafficDoesNotRace(t *testing.T) {
 	n := testNode(0)
 	var wg sync.WaitGroup
@@ -197,25 +173,10 @@ func TestConcurrentDiskTrafficDoesNotRace(t *testing.T) {
 				n.Disk().Traffic()
 			}
 		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				if err := n.Disk().Allocate(16); err != nil {
-					t.Errorf("allocate: %v", err)
-					return
-				}
-				n.Disk().Release(16)
-				n.Disk().Used()
-			}
-		}()
 	}
 	wg.Wait()
 	r, w := n.Disk().Traffic()
 	if r != 4*500*128 || w != 4*500*64 {
 		t.Fatalf("Traffic() = %d, %d", r, w)
-	}
-	if n.Disk().Used() != 0 {
-		t.Fatalf("Used() = %d after balanced alloc/release", n.Disk().Used())
 	}
 }

@@ -315,12 +315,6 @@ func NewResolved(r Resolved) *CPU {
 // counters); callers take snapshots and compute deltas through it.
 func (c *CPU) Monitor() *hpm.Monitor { return c.mon }
 
-// DCache exposes the data cache (for tests and warm-up probes).
-func (c *CPU) DCache() *cache.Cache { return c.dcache }
-
-// TLBUnit exposes the TLB.
-func (c *CPU) TLBUnit() *tlb.TLB { return c.tlb }
-
 // VM exposes the paging manager; nil when paging is disabled.
 func (c *CPU) VM() *vm.Manager { return c.vmm }
 

@@ -1,11 +1,11 @@
 package profile
 
-// Apply was rewritten for the campaign's hot path: it is now StepFor,
+// The campaign applies a profile in two halves for its hot path: StepFor,
 // which resolves the interval once, and Step.ApplyTo, which only draws
-// and adds, and the campaign shares one Step across a job's nodes. These
-// tests pin both draw for draw against the original implementation,
-// kept here verbatim as referenceApply: same totals, and the rng left at
-// the same position. The integer round-up threshold is pinned on its own
+// and adds, so one Step serves all of a job's nodes. These tests pin both
+// draw for draw against the one-pass implementation they replaced, kept
+// here verbatim as referenceApply: same totals, and the rng left at the
+// same position. The integer round-up threshold is pinned on its own
 // against the float comparison it replaces.
 
 import (
@@ -16,7 +16,8 @@ import (
 	"repro/internal/rng"
 )
 
-// referenceApply is Apply as it was before the rewrite.
+// referenceApply is the one-pass implementation StepFor and ApplyTo
+// replaced.
 func referenceApply(p *Profile, acc *hpm.Accumulator, seconds float64, rnd *rng.Source) {
 	for mode := hpm.Mode(0); mode < 2; mode++ {
 		for ev := hpm.Event(0); ev < hpm.NumEvents; ev++ {
@@ -91,7 +92,9 @@ func TestPropertyApplyMatchesReference(t *testing.T) {
 					got, want := hpm.NewAccumulator(m.mon()), hpm.NewAccumulator(m.mon())
 					gotRnd, wantRnd := newRnds()
 					for rep := 0; rep < 3; rep++ {
-						p.Apply(got, secs, gotRnd)
+						var step Step
+						p.StepFor(secs, &step)
+						step.ApplyTo(got, gotRnd)
 						referenceApply(p, want, secs, wantRnd)
 					}
 					if got.Totals() != want.Totals() {
@@ -127,8 +130,8 @@ func TestPropertyApplyMatchesReference(t *testing.T) {
 const boundarySeed = 1
 
 // boundaryProfiles returns two profiles whose per-second rates are
-// fractions placed on the first draws rng.New(seed) makes: the first
-// Apply of one second from that stream compares each counter's draw k
+// fractions placed on the first draws rng.New(seed) makes: applying one
+// second from that stream first compares each counter's draw k
 // against a threshold of exactly k (no round-up) in the first profile
 // and exactly k+1 (round-up) in the second. A random fraction lands
 // there with probability 2^-53, so only these profiles catch an

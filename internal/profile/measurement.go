@@ -35,9 +35,8 @@ type Measurement struct {
 	TrueDivides [2]uint64
 }
 
-// Profile derives the per-second rate signature. The arithmetic is exactly
-// what Measure historically performed on a fresh CPU, so a cached
-// measurement yields a bit-identical Profile.
+// Profile derives the per-second rate signature. It reads only the
+// measurement, so a cached measurement yields a bit-identical Profile.
 func (m Measurement) Profile() Profile {
 	var p Profile
 	p.Name = m.Kernel

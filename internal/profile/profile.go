@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/hpm"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/power2"
 	"repro/internal/rng"
@@ -35,12 +34,6 @@ type Profile struct {
 	// TrueDivPerSec preserves the divide rate the broken hardware counter
 	// missed.
 	TrueDivPerSec float64
-}
-
-// Measure runs n instructions of the stream on a fresh CPU with the given
-// configuration and returns the resulting rate signature.
-func Measure(name string, stream isa.Stream, cfg power2.Config, n uint64) Profile {
-	return MeasureRun(name, stream, cfg, n).Profile()
 }
 
 // MeasureKernel measures a kernel from the registry under the given CPU
@@ -61,24 +54,6 @@ func (p Profile) Scale(f float64) Profile {
 	}
 	out.Mflops *= f
 	out.TrueDivPerSec *= f
-	return out
-}
-
-// Blend returns a profile that is fracA of a plus (1-fracA) of b — the
-// compute/communication duty-cycle composition of a job phase mix.
-func Blend(a Profile, fracA float64, b Profile) Profile {
-	if fracA < 0 || fracA > 1 {
-		panic(fmt.Sprintf("profile: blend fraction %v out of [0,1]", fracA))
-	}
-	var out Profile
-	out.Name = a.Name + "+" + b.Name
-	for m := 0; m < 2; m++ {
-		for ev := range out.EventsPerSec[m] {
-			out.EventsPerSec[m][ev] = float64(fracA*a.EventsPerSec[m][ev]) + float64((1-fracA)*b.EventsPerSec[m][ev])
-		}
-	}
-	out.Mflops = float64(fracA*a.Mflops) + float64((1-fracA)*b.Mflops)
-	out.TrueDivPerSec = float64(fracA*a.TrueDivPerSec) + float64((1-fracA)*b.TrueDivPerSec)
 	return out
 }
 
@@ -106,22 +81,6 @@ func (p Profile) WithDMA(readsPerSec, writesPerSec float64) Profile {
 	out.EventsPerSec[hpm.User][hpm.EvDMARead] = readsPerSec
 	out.EventsPerSec[hpm.User][hpm.EvDMAWrite] = writesPerSec
 	return out
-}
-
-// Apply advances a node's extended counters by seconds of this profile.
-// It writes through the daemon's 64-bit accumulator rather than the 32-bit
-// hardware registers: a 15-minute interval at SP2 rates overflows a 32-bit
-// register many times, which is exactly why the real tools kept software
-// totals. Fractional counts are rounded stochastically with rnd so rare
-// events (I-cache misses, DMA on short phases) keep the right expectation;
-// a nil rnd truncates.
-//
-// Apply is StepFor followed by one ApplyTo; the campaign calls the two
-// halves itself to share one Step across a job's nodes.
-func (p *Profile) Apply(acc *hpm.Accumulator, seconds float64, rnd *rng.Source) {
-	var s Step
-	p.StepFor(seconds, &s)
-	s.ApplyTo(acc, rnd)
 }
 
 // numCounters is the number of per-mode, per-event rates in a profile.

@@ -69,7 +69,7 @@ func TestMeasurePanicsOnEmptyStream(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Measure("empty", isa.NewSliceStream(nil), power2.Config{}, 10)
+	MeasureRun("empty", isa.NewSliceStream(nil), power2.Config{}, 10)
 }
 
 func TestScale(t *testing.T) {
@@ -87,33 +87,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestBlend(t *testing.T) {
-	s := standard(t)
-	b := Blend(s.CFD, 0.8, s.Comm)
-	want := 0.8 * s.CFD.Mflops // comm has zero flops
-	if math.Abs(b.Mflops-want) > 1e-9 {
-		t.Fatalf("blended Mflops = %v, want %v", b.Mflops, want)
-	}
-	// FXU rate is the weighted mix (relative tolerance: rates are tens of
-	// millions per second).
-	for _, ev := range []hpm.Event{hpm.EvFXU0Instr, hpm.EvFXU1Instr} {
-		want := 0.8*s.CFD.EventsPerSec[hpm.User][ev] + 0.2*s.Comm.EventsPerSec[hpm.User][ev]
-		if diff := math.Abs(b.EventsPerSec[hpm.User][ev] - want); diff > 1e-6*want {
-			t.Fatalf("blend event %v off by %v", ev, diff)
-		}
-	}
-}
-
-func TestBlendPanicsOutOfRange(t *testing.T) {
-	s := standard(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Blend(s.CFD, 1.5, s.Comm)
-}
-
 func TestWithDMA(t *testing.T) {
 	p := standard(t).CFD.WithDMA(24000, 17000)
 	if p.EventsPerSec[hpm.User][hpm.EvDMARead] != 24000 {
@@ -127,12 +100,14 @@ func TestWithDMA(t *testing.T) {
 func TestApplyAdvancesCounters(t *testing.T) {
 	p := standard(t).CFD
 	acc := hpm.NewAccumulator(hpm.New())
-	p.Apply(acc, 900, rng.New(7)) // one 15-minute interval
+	var s Step
+	p.StepFor(900, &s) // one 15-minute interval
+	s.ApplyTo(acc, rng.New(7))
 	d := hpm.Sub64(hpm.Counts64{}, acc.Totals())
 	r := hpm.UserRates(d, 900)
 	// The reconstructed rates must match the profile within stochastic
 	// rounding error — note 900 s of SP2 activity far exceeds what the
-	// 32-bit hardware registers could hold, which is exactly why Apply
+	// 32-bit hardware registers could hold, which is exactly why ApplyTo
 	// writes the daemon's extended totals.
 	if math.Abs(r.MflopsAll-p.Mflops) > 0.05 {
 		t.Fatalf("applied Mflops = %v, profile %v", r.MflopsAll, p.Mflops)
@@ -144,12 +119,14 @@ func TestApplyStochasticRoundingExpectation(t *testing.T) {
 	// average ~0.3 events.
 	var p Profile
 	p.EventsPerSec[hpm.User][hpm.EvICacheReload] = 0.3
+	var s Step
+	p.StepFor(1, &s)
 	rnd := rng.New(11)
 	total := uint64(0)
 	const n = 20000
 	for i := 0; i < n; i++ {
 		acc := hpm.NewAccumulator(hpm.New())
-		p.Apply(acc, 1, rnd)
+		s.ApplyTo(acc, rnd)
 		total += acc.Totals().Get(hpm.User, hpm.EvICacheReload)
 	}
 	mean := float64(total) / n
@@ -162,7 +139,9 @@ func TestApplyNilRNGTruncates(t *testing.T) {
 	var p Profile
 	p.EventsPerSec[hpm.User][hpm.EvCycles] = 0.9
 	acc := hpm.NewAccumulator(hpm.New())
-	p.Apply(acc, 1, nil)
+	var s Step
+	p.StepFor(1, &s)
+	s.ApplyTo(acc, nil)
 	if got := acc.Totals().Get(hpm.User, hpm.EvCycles); got != 0 {
 		t.Fatalf("truncating apply added %d", got)
 	}
@@ -175,7 +154,7 @@ func TestApplyNegativePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	p.Apply(hpm.NewAccumulator(hpm.New()), -1, nil)
+	p.StepFor(-1, &Step{})
 }
 
 func TestApplyRespectsDivideBug(t *testing.T) {
@@ -184,7 +163,9 @@ func TestApplyRespectsDivideBug(t *testing.T) {
 	var p Profile
 	p.EventsPerSec[hpm.User][hpm.EvFPU0Div] = 1000
 	acc := hpm.NewAccumulator(hpm.New())
-	p.Apply(acc, 1, nil)
+	var s Step
+	p.StepFor(1, &s)
+	s.ApplyTo(acc, nil)
 	if got := acc.Totals().Get(hpm.User, hpm.EvFPU0Div); got != 0 {
 		t.Fatalf("divide counts leaked through: %d", got)
 	}

@@ -100,15 +100,6 @@ func (s *Store) MeasureProfile(k kernels.Kernel, cfg power2.Config, n uint64) Pr
 	return s.Measure(k, cfg, n).Profile()
 }
 
-// Lookup returns the cached measurement for the key, if present, without
-// simulating.
-func (s *Store) Lookup(key Key) (Measurement, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.measurements[key]
-	return m, ok
-}
-
 // Add inserts a measurement keyed by its identifying fields (used when
 // loading a persisted cache). The caller vouches that the measurement was
 // produced by the canonical simulation for that key.

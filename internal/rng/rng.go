@@ -79,11 +79,6 @@ func (r *Source) Fill(dst []uint64) {
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
-// Fork returns a new Source deterministically derived from this one; the
-// parent's stream advances by one draw. Use it to give subsystems
-// independent streams without coupling their consumption rates.
-func (r *Source) Fork() *Source { return New(r.Uint64()) }
-
 // Float64 returns a uniform value in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -206,22 +201,3 @@ func (w *Weighted) Sample(r *Source) int {
 
 // Len reports the number of outcomes.
 func (w *Weighted) Len() int { return len(w.cum) }
-
-// Shuffle permutes the first n elements using the Fisher-Yates algorithm,
-// calling swap(i, j) for each exchange.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -272,40 +272,6 @@ func TestWeightedSingleOutcome(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		p := New(seed).Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	parent := New(101)
-	child := parent.Fork()
-	// The child stream must be deterministic given the parent seed...
-	parent2 := New(101)
-	child2 := parent2.Fork()
-	for i := 0; i < 100; i++ {
-		if child.Uint64() != child2.Uint64() {
-			t.Fatal("forked streams not reproducible")
-		}
-	}
-	// ...and distinct from the parent's continuation.
-	if parent.Uint64() == child.Uint64() {
-		t.Fatal("fork appears correlated with parent")
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(37)
 	hits := 0

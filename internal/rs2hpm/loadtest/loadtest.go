@@ -237,9 +237,6 @@ func (h *Harness) Sweep() error {
 	return h.Service.SweepOnce(float64(h.sweeps))
 }
 
-// Sweeps reports how many sweeps have run.
-func (h *Harness) Sweeps() int { return h.sweeps }
-
 // SoakFor sweeps continuously until the wall budget is spent, returning
 // the sweep count. At least one sweep always runs.
 func (h *Harness) SoakFor(budget time.Duration) int {

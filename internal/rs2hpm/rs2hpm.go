@@ -662,15 +662,6 @@ func (l *SampleLog) TotalSamples() int {
 	return n
 }
 
-// Samples returns a copy of the samples for one node.
-func (l *SampleLog) Samples(node int) []Sample {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Sample, len(l.samples[node]))
-	copy(out, l.samples[node])
-	return out
-}
-
 // DeltaOver returns the wrap-corrected counter delta and the covered
 // observation time between samples in [t0, t1] for one node. ok is false
 // when no interval in the window is usable. On a clean log this equals

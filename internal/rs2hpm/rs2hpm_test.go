@@ -355,18 +355,12 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSamplesCopyIsolated(t *testing.T) {
-	l := NewSampleLog()
-	l.Add(Sample{AtSeconds: 1, Node: 0})
-	ss := l.Samples(0)
-	ss[0].AtSeconds = 999
-	if l.Samples(0)[0].AtSeconds != 1 {
-		t.Fatal("Samples exposes internal storage")
-	}
+// armableSource wraps fakeSource with the Armer extension and records the
+// selection it was last armed with.
+type armableSource struct {
+	*fakeSource
+	armed string // guarded by mu
 }
-
-// armableSource wraps fakeSource with the Armer extension.
-type armableSource struct{ *fakeSource }
 
 func (a *armableSource) ArmSelection(name string) error {
 	a.mu.Lock()
@@ -375,11 +369,12 @@ func (a *armableSource) ArmSelection(name string) error {
 		return err
 	}
 	a.acc.Reset()
+	a.armed = name
 	return nil
 }
 
 func TestRemoteArm(t *testing.T) {
-	src := &armableSource{newFakeSource(0)}
+	src := &armableSource{fakeSource: newFakeSource(0)}
 	_, addr := startDaemon(t, src)
 	c, err := Dial(addr)
 	if err != nil {
@@ -422,8 +417,8 @@ func TestRemoteArm(t *testing.T) {
 }
 
 func TestRemoteArmAll(t *testing.T) {
-	a := &armableSource{newFakeSource(0)}
-	b := &armableSource{newFakeSource(1)}
+	a := &armableSource{fakeSource: newFakeSource(0)}
+	b := &armableSource{fakeSource: newFakeSource(1)}
 	_, addr := startDaemon(t, a, b)
 	c, err := Dial(addr)
 	if err != nil {
@@ -435,7 +430,7 @@ func TestRemoteArmAll(t *testing.T) {
 	}
 	for _, s := range []*armableSource{a, b} {
 		s.mu.Lock()
-		name := s.mon.Selection().Name
+		name := s.armed
 		s.mu.Unlock()
 		if name != "iowait" {
 			t.Fatalf("node %d selection = %q", s.id, name)

@@ -19,20 +19,11 @@ type Time float64
 // Infinity is a time later than any event.
 const Infinity = Time(math.MaxFloat64)
 
-// Minutes returns a duration of m minutes.
-func Minutes(m float64) Time { return Time(m * 60) }
-
-// Hours returns a duration of h hours.
-func Hours(h float64) Time { return Time(h * 3600) }
-
 // Days returns a duration of d days.
 func Days(d float64) Time { return Time(d * 86400) }
 
 // Seconds reports the time as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
-
-// Day reports which campaign day (0-based) the instant falls in.
-func (t Time) Day() int { return int(float64(t) / 86400) }
 
 // String renders the time as d:hh:mm:ss.
 func (t Time) String() string {
@@ -57,9 +48,6 @@ type Event struct {
 
 // Cancel marks the event so it will be skipped when its time arrives.
 func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether the event was canceled.
-func (e *Event) Canceled() bool { return e.canceled }
 
 type eventQueue []*Event
 
@@ -118,14 +106,6 @@ func (c *Clock) At(t Time, fn func()) *Event {
 	c.seq++
 	heap.Push(&c.queue, e)
 	return e
-}
-
-// After schedules fn to run d after the current time.
-func (c *Clock) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: negative delay %v", d))
-	}
-	return c.At(c.now+d, fn)
 }
 
 // EveryUntil schedules fn at start, start+period, ... for every firing

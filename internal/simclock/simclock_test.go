@@ -7,17 +7,8 @@ import (
 )
 
 func TestTimeHelpers(t *testing.T) {
-	if Minutes(15) != Time(900) {
-		t.Fatalf("Minutes(15) = %v", Minutes(15))
-	}
-	if Hours(2) != Time(7200) {
-		t.Fatalf("Hours(2) = %v", Hours(2))
-	}
 	if Days(1) != Time(86400) {
 		t.Fatalf("Days(1) = %v", Days(1))
-	}
-	if Days(1.5).Day() != 1 {
-		t.Fatalf("Day() = %d", Days(1.5).Day())
 	}
 	if got := Time(90061.5).String(); got != "1d 01:01:01.50" {
 		t.Fatalf("String = %q", got)
@@ -55,18 +46,6 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestAfter(t *testing.T) {
-	var c Clock
-	var at Time
-	c.At(Time(10), func() {
-		c.After(Time(5), func() { at = c.Now() })
-	})
-	c.Run()
-	if at != Time(15) {
-		t.Fatalf("After fired at %v, want 15", at)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	var c Clock
 	c.At(Time(10), func() {
@@ -80,23 +59,13 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	c.Run()
 }
 
-func TestNegativeAfterPanics(t *testing.T) {
-	var c Clock
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative After did not panic")
-		}
-	}()
-	c.After(Time(-1), func() {})
-}
-
 func TestCancel(t *testing.T) {
 	var c Clock
 	fired := false
 	e := c.At(Time(10), func() { fired = true })
 	e.Cancel()
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !e.canceled {
+		t.Fatal("event not marked canceled after Cancel")
 	}
 	c.Run()
 	if fired {

@@ -292,11 +292,3 @@ func LoadFile(path string) (*Spec, error) {
 	}
 	return s, nil
 }
-
-// Encode writes the spec as indented JSON — the canonical on-disk form
-// the presets are committed in.
-func (s *Spec) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

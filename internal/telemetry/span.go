@@ -42,14 +42,6 @@ func StartWatch() Stopwatch {
 	return Stopwatch{start: nowNanos()}
 }
 
-// ElapsedNanos reports nanoseconds since StartWatch (0 for a dead watch).
-func (s Stopwatch) ElapsedNanos() int64 {
-	if s.start == 0 {
-		return 0
-	}
-	return nowNanos() - s.start
-}
-
 // Record observes the elapsed nanoseconds into h.
 //
 //hpmlint:hotpath span close-out runs inside the engine's per-day loop

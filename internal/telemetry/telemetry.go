@@ -44,9 +44,6 @@ var disabled atomic.Bool
 // cost, not for correctness — results are identical either way.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
-// Enabled reports whether updates are being recorded.
-func Enabled() bool { return !disabled.Load() }
-
 // Counter is a monotonically increasing uint64. The zero value is ready
 // to use, but counters normally come from a Registry so they appear in
 // snapshots.
@@ -85,16 +82,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// Add moves the level by d (negative to decrease).
-//
-//hpmlint:hotpath gauges fire inside the engine's per-day loop
-func (g *Gauge) Add(d int64) {
-	if disabled.Load() {
-		return
-	}
-	g.v.Add(d)
 }
 
 // Value reads the current level.
@@ -253,17 +240,9 @@ type Scope struct {
 // Counter registers prefix.name in the underlying registry.
 func (s Scope) Counter(name string) *Counter { return s.r.Counter(s.prefix + "." + name) }
 
-// Gauge registers prefix.name in the underlying registry.
-func (s Scope) Gauge(name string) *Gauge { return s.r.Gauge(s.prefix + "." + name) }
-
 // Histogram registers prefix.name in the underlying registry.
 func (s Scope) Histogram(name string, bounds []float64) *Histogram {
 	return s.r.Histogram(s.prefix+"."+name, bounds)
-}
-
-// Scope nests a further namespace level.
-func (s Scope) Scope(name string) Scope {
-	return Scope{r: s.r, prefix: s.prefix + "." + name}
 }
 
 // CounterPoint is one counter in a snapshot.

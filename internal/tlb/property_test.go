@@ -63,14 +63,6 @@ func (t *refTLB) Translate(addr uint64) bool {
 	return false
 }
 
-func (t *refTLB) Flush() {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			t.sets[s][w] = entry{}
-		}
-	}
-}
-
 // randomGeometry draws a valid TLB configuration.
 func randomGeometry(r *rng.Source) Config {
 	ways := []int{1, 2, 4, 8}[r.Intn(4)]
@@ -96,10 +88,7 @@ func TestPropertyTLBStatsBalance(t *testing.T) {
 		if s.Hits+s.Misses != translations {
 			t.Fatalf("trial %d %+v: hits %d + misses %d != %d translations", trial, cfg, s.Hits, s.Misses, translations)
 		}
-		if s.Accesses() != translations {
-			t.Fatalf("trial %d: Accesses() = %d, want %d", trial, s.Accesses(), translations)
-		}
-		if ratio := s.MissRatio(); ratio < 0 || ratio > 1 {
+		if ratio := float64(s.Misses) / float64(s.Hits+s.Misses); ratio < 0 || ratio > 1 {
 			t.Fatalf("trial %d: miss ratio %v out of [0,1]", trial, ratio)
 		}
 	}
@@ -129,10 +118,6 @@ func TestPropertyLastHitMemoEquivalence(t *testing.T) {
 			}
 			if memo.Stats() != ref.stats {
 				t.Fatalf("trial %d %+v access %d: stats diverged: %+v vs %+v", trial, cfg, i, memo.Stats(), ref.stats)
-			}
-			if i%1500 == 1499 {
-				memo.Flush()
-				ref.Flush()
 			}
 		}
 		for i := 0; i < 200; i++ {

@@ -37,18 +37,6 @@ type Stats struct {
 	Misses uint64
 }
 
-// MissRatio reports misses over total translations.
-func (s Stats) MissRatio() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(t)
-}
-
-// Accesses reports total translations.
-func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
-
 type entry struct {
 	vpn     uint64
 	valid   bool
@@ -58,7 +46,6 @@ type entry struct {
 // TLB is a set-associative translation buffer with LRU replacement. Not
 // safe for concurrent use.
 type TLB struct {
-	cfg       Config
 	sets      [][]entry
 	setMask   uint64
 	pageShift uint
@@ -69,7 +56,7 @@ type TLB struct {
 	// Runs of references to the same page (the common case: pages are 16
 	// cache lines) hit it without the set scan. Checking last.valid &&
 	// last.vpn == vpn is exactly the scan's hit test for that entry, so
-	// the shortcut cannot change any outcome; it is reset on Flush.
+	// the shortcut cannot change any outcome.
 	last *entry
 }
 
@@ -88,20 +75,14 @@ func New(cfg Config) *TLB {
 	for 1<<shift != cfg.PageBytes {
 		shift++
 	}
-	return &TLB{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), pageShift: shift}
+	return &TLB{sets: sets, setMask: uint64(nsets - 1), pageShift: shift}
 }
-
-// Config returns the construction geometry.
-func (t *TLB) Config() Config { return t.cfg }
 
 // Stats returns accumulated counts.
 func (t *TLB) Stats() Stats { return t.stats }
 
 // ResetStats zeroes counts without disturbing contents.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
-
-// PageOf returns the virtual page number of addr.
-func (t *TLB) PageOf(addr uint64) uint64 { return addr >> t.pageShift }
 
 // Translate looks up the page containing addr, installing it on a miss.
 // It returns true on a hit.
@@ -148,14 +129,4 @@ func (t *TLB) Contains(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Flush invalidates all entries (context switch / new job on the node).
-func (t *TLB) Flush() {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			t.sets[s][w] = entry{}
-		}
-	}
-	t.last = nil
 }

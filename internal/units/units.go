@@ -1,11 +1,12 @@
 // Package units defines the physical quantities and machine constants used
-// throughout the SP2 simulation: cycles, floating-point operations, bytes,
-// and the rates derived from them, together with the published geometry of
-// the NAS SP2 RS6000/590 node (White and Dhawan, 1994).
+// throughout the SP2 simulation: cycles, floating-point operations, bytes
+// and rates, together with the published geometry of the NAS SP2
+// RS6000/590 node (White and Dhawan, 1994).
 //
-// Every rate reported by the paper is "mega-something per second"; keeping
-// the unit arithmetic in one tested place prevents the classic
-// cycles-vs-seconds and per-node-vs-per-system mistakes.
+// Each quantity has its own named type, so the compiler rejects adding
+// cycles to bytes, and hpmlint's unitsmixing rule catches the same mix
+// made through a basic-type conversion: the classic cycles-vs-seconds
+// mistake.
 package units
 
 import "fmt"
@@ -69,15 +70,10 @@ const (
 
 	// NodeMemoryBytes is the main memory per node (at least 128 MB).
 	NodeMemoryBytes = 128 * 1024 * 1024
-	// NodeDiskBytes is the local disk per node (2 GB).
-	NodeDiskBytes = 2 * 1024 * 1024 * 1024
 
 	// WordBytes is the fundamental word size used by DMA accounting
 	// (a transfer moves 4 or 8 words; a word is 8 bytes for real*8 data).
 	WordBytes = 8
-
-	// Real8Bytes is the size of a double-precision element.
-	Real8Bytes = 8
 )
 
 // Cycles counts processor clock cycles.
@@ -85,9 +81,6 @@ type Cycles uint64
 
 // Seconds converts a cycle count to wall-clock seconds at the SP2 clock.
 func (c Cycles) Seconds() float64 { return float64(c) / ClockHz }
-
-// String renders the count with a unit suffix.
-func (c Cycles) String() string { return fmt.Sprintf("%d cyc", uint64(c)) }
 
 // FromSeconds converts seconds of node time to cycles at the SP2 clock.
 func FromSeconds(s float64) Cycles {
@@ -119,56 +112,3 @@ func (b Bytes) String() string {
 // Rate is a per-second rate expressed in "millions per second", the unit the
 // paper uses for every table (Mips, Mops, Mflops, Mtransfers/s).
 type Rate float64
-
-// RatePerSec builds a Rate from a raw count over an interval in seconds.
-func RatePerSec(count uint64, seconds float64) Rate {
-	if seconds <= 0 {
-		return 0
-	}
-	return Rate(float64(count) / seconds / 1e6)
-}
-
-// RatePerCycles builds a Rate from a raw count over an interval in cycles.
-func RatePerCycles(count uint64, cycles Cycles) Rate {
-	return RatePerSec(count, cycles.Seconds())
-}
-
-// Millions reports the numeric value in millions/second.
-func (r Rate) Millions() float64 { return float64(r) }
-
-// PerSecond reports the raw events-per-second value.
-func (r Rate) PerSecond() float64 { return float64(r) * 1e6 }
-
-// String renders the rate as the paper prints it.
-func (r Rate) String() string { return fmt.Sprintf("%.3f M/s", float64(r)) }
-
-// Gflops converts a per-node Mflops rate into a per-system Gflops rate for
-// the given node count.
-func Gflops(perNodeMflops float64, nodes int) float64 {
-	return perNodeMflops * float64(nodes) / 1000.0
-}
-
-// PercentOfPeak reports a per-node Mflops rate as a percentage of node peak.
-func PercentOfPeak(perNodeMflops float64) float64 {
-	return 100 * perNodeMflops / PeakMflopsPerNode
-}
-
-// CacheLinesTouched reports how many distinct cache lines a sequential scan
-// of n real*8 elements touches (one miss every 32 elements at a 256 B line).
-func CacheLinesTouched(nElems int) int {
-	if nElems <= 0 {
-		return 0
-	}
-	bytes := nElems * Real8Bytes
-	return (bytes + DCacheLineBytes - 1) / DCacheLineBytes
-}
-
-// PagesTouched reports how many distinct pages a sequential scan of n real*8
-// elements touches (one TLB miss every 512 elements at a 4 KB page).
-func PagesTouched(nElems int) int {
-	if nElems <= 0 {
-		return 0
-	}
-	bytes := nElems * Real8Bytes
-	return (bytes + PageBytes - 1) / PageBytes
-}

@@ -38,53 +38,6 @@ func TestFromSecondsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRatePerSec(t *testing.T) {
-	r := RatePerSec(17_400_000, 1.0)
-	if !almostEqual(r.Millions(), 17.4, 1e-9) {
-		t.Fatalf("rate = %v, want 17.4", r.Millions())
-	}
-	if got := RatePerSec(100, 0); got != 0 {
-		t.Fatalf("zero interval rate = %v, want 0", got)
-	}
-	if got := RatePerSec(100, -5); got != 0 {
-		t.Fatalf("negative interval rate = %v, want 0", got)
-	}
-}
-
-func TestRatePerCycles(t *testing.T) {
-	// 66.7M flops in 66.7M cycles = 1 flop/cycle = 66.7 Mflops.
-	r := RatePerCycles(uint64(66.7e6), Cycles(66.7e6))
-	if !almostEqual(r.Millions(), 66.7, 1e-6) {
-		t.Fatalf("rate = %v, want 66.7", r.Millions())
-	}
-}
-
-func TestRatePerSecondInverse(t *testing.T) {
-	r := Rate(3.5)
-	if !almostEqual(r.PerSecond(), 3.5e6, 1e-3) {
-		t.Fatalf("PerSecond = %v", r.PerSecond())
-	}
-}
-
-func TestGflops(t *testing.T) {
-	// Paper: ~9 Mflops/node x 144 nodes ~ 1.3 Gflops.
-	g := Gflops(9.0, NodeCount)
-	if !almostEqual(g, 1.296, 1e-9) {
-		t.Fatalf("Gflops(9,144) = %v, want 1.296", g)
-	}
-}
-
-func TestPercentOfPeak(t *testing.T) {
-	// Paper: 9 Mflops/node is ~3% of the 267 Mflops peak.
-	p := PercentOfPeak(9.0)
-	if p < 3.0 || p > 3.5 {
-		t.Fatalf("PercentOfPeak(9) = %v, want ~3.37", p)
-	}
-	if got := PercentOfPeak(PeakMflopsPerNode); !almostEqual(got, 100, 1e-9) {
-		t.Fatalf("peak should be 100%%, got %v", got)
-	}
-}
-
 func TestPeakDerivation(t *testing.T) {
 	// 2 FPUs x 2 flops/fma/cycle at 66.7 MHz = 266.8 Mflops ~ 267.
 	derived := 4 * ClockHz / 1e6
@@ -99,32 +52,6 @@ func TestCacheGeometry(t *testing.T) {
 	}
 	if DCacheBytes/DCacheWays/DCacheLineBytes != 256 {
 		t.Fatalf("sets per way = %d, want 256", DCacheBytes/DCacheWays/DCacheLineBytes)
-	}
-}
-
-func TestCacheLinesTouched(t *testing.T) {
-	// Paper: for real*8 data a cache miss every 32 elements.
-	if got := CacheLinesTouched(32); got != 1 {
-		t.Fatalf("32 elems -> %d lines, want 1", got)
-	}
-	if got := CacheLinesTouched(33); got != 2 {
-		t.Fatalf("33 elems -> %d lines, want 2", got)
-	}
-	if got := CacheLinesTouched(0); got != 0 {
-		t.Fatalf("0 elems -> %d lines, want 0", got)
-	}
-	if got := CacheLinesTouched(-4); got != 0 {
-		t.Fatalf("negative elems -> %d lines, want 0", got)
-	}
-}
-
-func TestPagesTouched(t *testing.T) {
-	// Paper: a TLB miss every 512 elements.
-	if got := PagesTouched(512); got != 1 {
-		t.Fatalf("512 elems -> %d pages, want 1", got)
-	}
-	if got := PagesTouched(513); got != 2 {
-		t.Fatalf("513 elems -> %d pages, want 2", got)
 	}
 }
 
@@ -156,37 +83,5 @@ func TestBytesString(t *testing.T) {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("Bytes(%d).String() = %q, want %q", uint64(c.in), got, c.want)
 		}
-	}
-}
-
-func TestCyclesString(t *testing.T) {
-	if got := Cycles(42).String(); got != "42 cyc" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestRateString(t *testing.T) {
-	if got := Rate(17.4).String(); got != "17.400 M/s" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestRateNonNegativeProperty(t *testing.T) {
-	f := func(count uint32, secs uint16) bool {
-		r := RatePerSec(uint64(count), float64(secs))
-		return r >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGflopsScalesLinearly(t *testing.T) {
-	f := func(m uint16) bool {
-		mf := float64(m) / 100.0
-		return almostEqual(Gflops(mf, 288), 2*Gflops(mf, 144), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

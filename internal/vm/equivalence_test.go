@@ -8,7 +8,7 @@ package vm
 // touch's Fault, the running Stats, ResidentPages, and Resident probes.
 // A randomized trace of over a million touches mixes stores, resident
 // loops, sequential sweeps that thrash CLOCK, random jumps over a wide
-// address range, and occasional ReleaseAll.
+// address range.
 
 import (
 	"fmt"
@@ -119,20 +119,6 @@ func (m *refManager) Resident(addr uint64) bool {
 	return ok
 }
 
-func (m *refManager) ReleaseAll() {
-	for vpn, fi := range m.index {
-		if m.frames[fi].dirty {
-			m.stats.PageOuts++
-		}
-		m.frames[fi] = frame{}
-		delete(m.index, vpn)
-	}
-	m.seen = nil
-	m.free = m.nframes
-	m.hand = 0
-	m.lastFi = -1
-}
-
 // TestPageTableEquivalence drives the table-based Manager and the map
 // reference in lockstep and demands identical observables at every step.
 func TestPageTableEquivalence(t *testing.T) {
@@ -181,13 +167,6 @@ func TestPageTableEquivalence(t *testing.T) {
 					probe := ((r >> 16) % (4*fp + 2)) * page
 					if opt.Resident(probe) != ref.Resident(probe) {
 						t.Fatalf("touch %d: Resident(%#x) = %v, reference %v", i, probe, opt.Resident(probe), ref.Resident(probe))
-					}
-				}
-				if i%150_001 == 150_000 {
-					opt.ReleaseAll()
-					ref.ReleaseAll()
-					if opt.Stats() != ref.stats || opt.ResidentPages() != 0 || ref.ResidentPages() != 0 {
-						t.Fatalf("after ReleaseAll at %d: table %+v reference %+v", i, opt.Stats(), ref.stats)
 					}
 				}
 			}

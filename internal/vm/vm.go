@@ -35,14 +35,6 @@ type Stats struct {
 	Evictions uint64 // pages evicted (dirty or clean)
 }
 
-// FaultRatio reports faults per touch.
-func (s Stats) FaultRatio() float64 {
-	if s.Touches == 0 {
-		return 0
-	}
-	return float64(s.Faults) / float64(s.Touches)
-}
-
 type frame struct {
 	vpn        uint64
 	valid      bool
@@ -72,7 +64,7 @@ const (
 // resident in a frame. It answers both questions a touch asks, whether
 // the page is resident and whether it was ever resident, with one probe.
 // Eviction marks the page's slot evicted rather than deleting it, so no
-// probe chain is ever broken; ReleaseAll clears the whole table.
+// probe chain is ever broken.
 //
 // Storage is allocated lazily: a node that never touches memory (the
 // common case in the campaign, where job behaviour is extrapolated from
@@ -118,22 +110,13 @@ func New(memoryBytes uint64, pageBytes int) *Manager {
 	}
 }
 
-// Frames reports the number of physical page frames.
-func (m *Manager) Frames() int { return m.nframes }
-
-// ResidentPages reports how many frames currently hold pages. A frame is
-// never emptied except by ReleaseAll, which frees them all, so every
-// frame ever claimed holds a page.
+// ResidentPages reports how many frames currently hold pages. A claimed
+// frame is never emptied, only handed to another page, so every frame
+// ever claimed holds a page.
 func (m *Manager) ResidentPages() int { return m.nframes - m.free }
 
 // Stats returns the accumulated paging counts.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// ResetStats zeroes the counters without evicting pages.
-func (m *Manager) ResetStats() { m.stats = Stats{} }
-
-// PageOf returns the virtual page number for addr.
-func (m *Manager) PageOf(addr uint64) uint64 { return addr / m.pageBytes }
 
 // find returns the index of vpn's slot in the page table, or of the empty
 // slot where it would go. The table is never full (it doubles at half
@@ -256,27 +239,4 @@ func (m *Manager) evict() int {
 // touching reference bits or statistics.
 func (m *Manager) Resident(addr uint64) bool {
 	return m.table != nil && m.table[m.find(addr/m.pageBytes)].state > 0
-}
-
-// ReleaseAll drops every resident page and forgets the touch history (job
-// exit). Dirty pages count as page-outs: AIX must clean them before the
-// frames are reusable.
-func (m *Manager) ReleaseAll() {
-	for fi := range m.frames {
-		if f := &m.frames[fi]; f.valid && f.dirty {
-			m.stats.PageOuts++
-		}
-		m.frames[fi] = frame{}
-	}
-	clear(m.table)
-	m.used = 0
-	m.free = m.nframes
-	m.hand = 0
-	m.lastFi = -1
-}
-
-// Oversubscription reports the ratio of a hypothetical working set (in
-// bytes) to physical memory; values above 1.0 predict steady-state paging.
-func (m *Manager) Oversubscription(workingSetBytes uint64) float64 {
-	return float64(workingSetBytes) / float64(uint64(m.nframes)*m.pageBytes)
 }

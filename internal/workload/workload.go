@@ -510,12 +510,6 @@ func (c *Campaign) SetFaultPlanner(p FaultPlanner) {
 	c.planner = p
 }
 
-// Nodes exposes the cluster (for examples and the daemon).
-func (c *Campaign) Nodes() []*node.Node { return c.nodes }
-
-// Clock exposes the simulation clock.
-func (c *Campaign) Clock() *simclock.Clock { return c.clock }
-
 // onStart builds the job's effective profile. The jitter draw and the
 // run's stochastic-rounding stream both come from the job's private
 // substream, derived from (seed, StreamID): a job's counter contribution
