@@ -69,11 +69,13 @@ benchdiff:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . | $(GO) run ./cmd/benchjson -o '' -diff BENCH_campaign.json
 
 # Quick smoke: one iteration of the microsim + campaign-day benchmarks,
-# and one op of the per-kernel microsim layer bench, just to prove the
-# bench harnesses still build and run (used by CI).
+# one op of the per-kernel microsim layer bench and of the rs2hpm wire
+# benches, just to prove the bench harnesses still build and run (used
+# by CI).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'CPUSimulation|CampaignDay' -benchtime 1x . | $(GO) run ./cmd/benchjson -o '' -diff BENCH_campaign.json
 	$(GO) test -run '^$$' -bench 'KernelSim' -benchtime 1x ./internal/kernels
+	$(GO) test -run '^$$' -bench 'Batch' -benchtime 1x ./internal/rs2hpm
 
 # Regression gate: re-run the hot-path benchmarks and enforce the
 # committed tolerances/ratios in BENCH_gates.json against the committed

@@ -1,9 +1,9 @@
 package rs2hpm
 
 // Layer benches for the wire codec: one MGET frame encoded and decoded
-// in memory, and one single-GET (v1) batch over loopback. 72 nodes is
-// the per-daemon node count of the repository benchmark's collect
-// workload.
+// in memory, and one batch over loopback against a v1 daemon (pipelined
+// single-GET) and a v2 one (MGET). 72 nodes is the per-daemon node count
+// of the repository benchmark's collect workload.
 
 import (
 	"bufio"
@@ -92,8 +92,21 @@ func BenchmarkBatchFrame(b *testing.B) {
 // BenchmarkBatchFallback is one 72-node BatchCounters against a daemon
 // pinned to wire v1, so every read takes the single-GET path.
 func BenchmarkBatchFallback(b *testing.B) {
+	benchBatchCounters(b, ProtocolV1)
+}
+
+// BenchmarkBatchMGET is one 72-node BatchCounters against a v2 daemon:
+// one MGET round trip.
+func BenchmarkBatchMGET(b *testing.B) {
+	benchBatchCounters(b, ProtocolV2)
+}
+
+// benchBatchCounters times one 72-node BatchCounters over loopback
+// against a daemon speaking protocol, and reports the write calls the
+// daemon made per batch.
+func benchBatchCounters(b *testing.B, protocol int) {
 	srcs, ids, _ := benchFleet()
-	d := NewDaemonProtocol(ProtocolV1, srcs...)
+	d := NewDaemonProtocol(protocol, srcs...)
 	addr, err := d.Start("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -104,10 +117,11 @@ func BenchmarkBatchFallback(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	// The first batch negotiates down to v1; time only the fallback.
+	// The first batch negotiates the protocol; time only later ones.
 	if _, err := c.BatchCounters(ids); err != nil {
 		b.Fatal(err)
 	}
+	writes0 := telDaemonWrites.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -117,4 +131,5 @@ func BenchmarkBatchFallback(b *testing.B) {
 		}
 		benchEntries = entries
 	}
+	b.ReportMetric(float64(telDaemonWrites.Value()-writes0)/float64(b.N), "daemon-writes/op")
 }

@@ -174,6 +174,10 @@ func TestIntegrationCollectorAgainstFlakyDaemon(t *testing.T) {
 		"rs2hpm_collector_retries",
 		"rs2hpm_daemon_bytes_tx",
 		"rs2hpm_client_bytes_rx",
+		"rs2hpm_daemon_reads",
+		"rs2hpm_daemon_writes",
+		"rs2hpm_client_reads",
+		"rs2hpm_client_writes",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -3,9 +3,10 @@ package rs2hpm
 // hpmtel instrumentation for the collection path — the reproduction of
 // the paper's own self-measurement ethos applied to the measurement tools
 // themselves: how often a read was retried, backed off or gap-marked, and
-// the bytes the line protocol moved on the wire (both directions, both
-// ends). The sweep and sample counts are the service's and the ingest
-// queue's (rs2hpm.service.*, rs2hpm.ingest.*).
+// the bytes the line protocol moved on the wire and the read and write
+// calls that moved them (both directions, both ends). The sweep and
+// sample counts are the service's and the ingest queue's
+// (rs2hpm.service.*, rs2hpm.ingest.*).
 
 import (
 	"io"
@@ -23,6 +24,8 @@ var (
 	telClientDials     = telClient.Counter("dials")
 	telClientBytesRx   = telClient.Counter("bytes_rx")
 	telClientBytesTx   = telClient.Counter("bytes_tx")
+	telClientReads     = telClient.Counter("reads")
+	telClientWrites    = telClient.Counter("writes")
 	telClientBatches   = telClient.Counter("batches")
 	telClientFallbacks = telClient.Counter("fallbacks")
 
@@ -32,6 +35,8 @@ var (
 	telDaemonErrs    = telDaemon.Counter("errors")
 	telDaemonBytesRx = telDaemon.Counter("bytes_rx")
 	telDaemonBytesTx = telDaemon.Counter("bytes_tx")
+	telDaemonReads   = telDaemon.Counter("reads")
+	telDaemonWrites  = telDaemon.Counter("writes")
 	telDaemonBatches = telDaemon.Counter("batches")
 
 	// The sustained-collection layers: the service's kept connections
@@ -60,26 +65,32 @@ var (
 	telServiceGaps       = telService.Counter("read_gaps")
 )
 
-// countingReader counts bytes read from the wire into a counter.
+// countingReader counts the bytes read from the wire and the read calls
+// that moved them.
 type countingReader struct {
-	r io.Reader
-	c *telemetry.Counter
+	r     io.Reader
+	bytes *telemetry.Counter
+	calls *telemetry.Counter
 }
 
 func (cr countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
-	cr.c.Add(uint64(n))
+	cr.bytes.Add(uint64(n))
+	cr.calls.Inc()
 	return n, err
 }
 
-// countingWriter counts bytes written to the wire into a counter.
+// countingWriter counts the bytes written to the wire and the write
+// calls that moved them.
 type countingWriter struct {
-	w io.Writer
-	c *telemetry.Counter
+	w     io.Writer
+	bytes *telemetry.Counter
+	calls *telemetry.Counter
 }
 
 func (cw countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
-	cw.c.Add(uint64(n))
+	cw.bytes.Add(uint64(n))
+	cw.calls.Inc()
 	return n, err
 }
