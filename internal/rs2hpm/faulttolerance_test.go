@@ -132,9 +132,9 @@ func TestRetryOutOfStepDropsConnection(t *testing.T) {
 }
 
 // TestServiceRedialsAfterDaemonRestart: the daemon restarts between
-// sweeps. The sweep that finds the kept connection dead is one
-// whole-daemon failure and closes it; the next dials afresh and captures
-// every node.
+// sweeps. The sweep that finds the kept connection dead closes it, dials
+// the restarted daemon within the same sweep and captures every node, so
+// the restart costs no sweep.
 func TestServiceRedialsAfterDaemonRestart(t *testing.T) {
 	srcs := []Source{newFakeSource(0), newFakeSource(1)}
 	first, addr := startDaemon(t, srcs...)
@@ -151,14 +151,8 @@ func TestServiceRedialsAfterDaemonRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(restarted.Close)
-	if err := svc.SweepOnce(1); err == nil {
-		t.Fatal("sweep over the dead kept connection succeeded")
-	}
-	svc.mu.Lock()
-	kept := svc.kept[0]
-	svc.mu.Unlock()
-	if kept != nil || telPoolDiscards.Value()-discards0 != 1 {
-		t.Fatalf("dead connection still kept (%v) or not closed (%d discards)", kept != nil, telPoolDiscards.Value()-discards0)
+	if err := svc.SweepOnce(1); err != nil {
+		t.Fatalf("sweep over the dead kept connection: %v", err)
 	}
 	if err := svc.SweepOnce(2); err != nil {
 		t.Fatalf("sweep after the restart: %v", err)
@@ -168,15 +162,18 @@ func TestServiceRedialsAfterDaemonRestart(t *testing.T) {
 	if got := telPoolDials.Value() - dials0; got != 2 {
 		t.Errorf("%d dials, want 2: one before the restart, one after", got)
 	}
+	if got := telPoolDiscards.Value() - discards0; got != 1 {
+		t.Errorf("%d discards, want 1: the connection the restart closed", got)
+	}
 	l := svc.Ledger()
-	if l.SweepFailures != 1 || l.Offered != 4 || l.Captured != 4 {
-		t.Fatalf("ledger %+v, want 1 sweep failure and 4 reads offered and captured", l)
+	if l.SweepFailures != 0 || l.Offered != 6 || l.Captured != 6 {
+		t.Fatalf("ledger %+v, want no sweep failure and 6 reads offered and captured", l)
 	}
 	if err := l.CrossFoot(); err != nil {
 		t.Fatal(err)
 	}
-	if log.Len(0) != 2 || log.Len(1) != 2 {
-		t.Fatalf("samples per node %d/%d, want 2/2", log.Len(0), log.Len(1))
+	if log.Len(0) != 3 || log.Len(1) != 3 {
+		t.Fatalf("samples per node %d/%d, want 3/3", log.Len(0), log.Len(1))
 	}
 }
 

@@ -175,25 +175,31 @@ func (s *Service) SweepOnce(atSeconds float64) error {
 }
 
 // sweepDaemon collects the full node set of daemon d, cfg.Addrs[d],
-// once. The connection it used is kept for the next sweep only if every
-// response on it came back in step.
+// once. A kept connection that cannot list the nodes is replaced once
+// within the sweep. The connection it used is kept for the next sweep
+// only if every response on it came back in step.
 func (s *Service) sweepDaemon(d int, atSeconds float64) error {
 	s.daemonSweeps.Add(1)
 	telServiceDaemons.Inc()
-	cl, err := s.take(d)
+	cl, kept, err := s.take(d)
 	if err != nil {
-		s.sweepFailures.Add(1)
-		telServiceSweepFails.Inc()
-		return err
+		return s.sweepFailed(err)
 	}
 	ids, err := cl.Nodes()
+	if err != nil && kept {
+		// The kept connection died between sweeps (a daemon restart):
+		// replace it within this sweep.
+		discard(cl)
+		if cl, _, err = s.take(d); err != nil {
+			return s.sweepFailed(err)
+		}
+		ids, err = cl.Nodes()
+	}
 	if err != nil {
 		// The node list is unknowable: a whole-sweep failure, not
 		// per-node gaps.
 		discard(cl)
-		s.sweepFailures.Add(1)
-		telServiceSweepFails.Inc()
-		return err
+		return s.sweepFailed(err)
 	}
 	s.offered.Add(uint64(len(ids)))
 
@@ -235,28 +241,35 @@ func (s *Service) sweepDaemon(d int, atSeconds float64) error {
 	return nil
 }
 
+// sweepFailed counts a daemon sweep that failed before its node list
+// was known.
+func (s *Service) sweepFailed(err error) error {
+	s.sweepFailures.Add(1)
+	telServiceSweepFails.Inc()
+	return err
+}
+
 // take hands out the connection kept for daemon d, or dials a fresh one
-// within the retry budget.
-func (s *Service) take(d int) (*Client, error) {
+// within the retry budget. kept reports which it handed out.
+func (s *Service) take(d int) (cl *Client, kept bool, err error) {
 	s.mu.Lock()
-	cl := s.kept[d]
+	cl = s.kept[d]
 	s.kept[d] = nil
 	s.mu.Unlock()
 	if cl != nil {
 		telPoolReuses.Inc()
-		return cl, nil
+		return cl, true, nil
 	}
-	var err error
 	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
 		if attempt > 0 && s.cfg.Backoff != nil {
 			s.cfg.Backoff(attempt)
 		}
 		if cl, err = Dial(s.cfg.Addrs[d]); err == nil {
 			telPoolDials.Inc()
-			return cl, nil
+			return cl, false, nil
 		}
 	}
-	return nil, fmt.Errorf("%w (after %d attempt(s))", err, s.cfg.Retries+1)
+	return nil, false, fmt.Errorf("%w (after %d attempt(s))", err, s.cfg.Retries+1)
 }
 
 // keep stores a connection that finished a clean sweep as daemon d's
