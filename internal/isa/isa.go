@@ -10,7 +10,11 @@
 // exactly the monitor events a real one would.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/units"
+)
 
 // Op is an instruction operation class.
 type Op uint8
@@ -69,9 +73,9 @@ var opTable = [opCount]opInfo{
 	OpNop:       {name: "nop", unit: UnitNone, latency: 1},
 	OpFAdd:      {name: "fadd", unit: UnitFPU, flops: 1, latency: 2},
 	OpFMul:      {name: "fmul", unit: UnitFPU, flops: 1, latency: 2},
-	OpFDiv:      {name: "fdiv", unit: UnitFPU, flops: 1, latency: 10, multicyc: true},
+	OpFDiv:      {name: "fdiv", unit: UnitFPU, flops: 1, latency: units.FPDivideCycles, multicyc: true},
 	OpFMA:       {name: "fma", unit: UnitFPU, flops: 2, latency: 2},
-	OpFSqrt:     {name: "fsqrt", unit: UnitFPU, flops: 1, latency: 15, multicyc: true},
+	OpFSqrt:     {name: "fsqrt", unit: UnitFPU, flops: 1, latency: units.FPSqrtCycles, multicyc: true},
 	OpFMove:     {name: "fmove", unit: UnitFPU, flops: 0, latency: 1},
 	OpLoad:      {name: "load", unit: UnitFXU, memBytes: 8, latency: 1},
 	OpStore:     {name: "store", unit: UnitFXU, memBytes: 8, latency: 1, isStore: true},

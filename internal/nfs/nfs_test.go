@@ -109,18 +109,6 @@ func TestPlacementStable(t *testing.T) {
 	}
 }
 
-func TestServerTrafficTallies(t *testing.T) {
-	m, _, _ := mountWithNodes(t, 1, Config{Volumes: 1, VolumeBytes: 1 << 20})
-	m.Write(0, "/f", 6400)
-	s := m.Servers()[0]
-	s.mu.Lock()
-	in, out := s.bytesIn, s.bytesOut
-	s.mu.Unlock()
-	if in != 6400 || out != 0 {
-		t.Fatalf("server traffic = %d/%d", in, out)
-	}
-}
-
 // TestConcurrentClientsDoNotRace hammers the mount from several client
 // nodes at once — writes, usage totals, listings — the access pattern of
 // many users' home directories. Run under -race this pins the per-server

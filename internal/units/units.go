@@ -60,8 +60,6 @@ const (
 
 	// DispatchWidth is the ICU dispatch width: 4 instructions/cycle.
 	DispatchWidth = 4
-	// FetchWidth is the ICU prefetch width: 8 instructions/cycle.
-	FetchWidth = 8
 
 	// SwitchLatencySeconds is the High Performance Switch latency (~45 us).
 	SwitchLatencySeconds = 45e-6
@@ -70,10 +68,6 @@ const (
 
 	// NodeMemoryBytes is the main memory per node (at least 128 MB).
 	NodeMemoryBytes = 128 * 1024 * 1024
-
-	// WordBytes is the fundamental word size used by DMA accounting
-	// (a transfer moves 4 or 8 words; a word is 8 bytes for real*8 data).
-	WordBytes = 8
 )
 
 // Cycles counts processor clock cycles.
