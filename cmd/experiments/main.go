@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cliperf"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -132,5 +131,5 @@ func main() {
 	// campaign stages, profile-store traffic — appended after the paper
 	// artifacts. Taken at exit so the table/figure recomputation above is
 	// included.
-	cf.PrintTelemetry(telemetry.Default.Snapshot())
+	cf.PrintTelemetry()
 }

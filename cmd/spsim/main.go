@@ -42,6 +42,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/cliperf"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -120,10 +121,6 @@ func main() {
 		}
 		sinks = append(sinks, dayPrinter{nodes})
 	}
-	var telRed workload.TelemetryReducer
-	if cf.Telemetry != "" {
-		sinks = append(sinks, &telRed)
-	}
 	res, ok := cf.Run(members, sinks...)
 	if !ok {
 		return
@@ -158,16 +155,9 @@ func main() {
 	fmt.Printf("utilization         : mean %.0f%% [64%%], max %.0f%% [95%%]\n",
 		100*stats.Mean(utils), 100*stats.Max(utils))
 
-	good := 0
-	var goodR []float64
-	for i := range res.Days {
-		if res.DayGflops(i) > 2.0 {
-			good++
-			goodR = append(goodR, res.DayPerNodeRates(i).MflopsAll)
-		}
-	}
-	fmt.Printf("days > 2.0 Gflops   : %d of %d [30 of 270], avg %.1f Mflops/node [17.4]\n",
-		good, len(res.Days), stats.Mean(goodR))
+	t2 := analysis.ComputeTable2(res)
+	fmt.Printf("days > %.1f Gflops   : %d of %d [30 of 270], avg %.1f Mflops/node [17.4]\n",
+		analysis.GoodDayThresholdGflops, t2.GoodDays, t2.TotalDays, t2.AvgMflops)
 
 	// Batch population.
 	fmt.Printf("\nbatch records       : %d (dropped %d under 600 s)\n", len(res.Records), res.DroppedRecords)
@@ -195,7 +185,7 @@ func main() {
 		fmt.Printf("\n%s", res.Coverage.Render())
 	}
 
-	// The hpmtel snapshot captured at campaign Finish: the run measuring
-	// its own execution, appended after the simulated results.
-	cf.PrintTelemetry(telRed.Snapshot)
+	// The hpmtel snapshot: the run measuring its own execution, appended
+	// after the simulated results.
+	cf.PrintTelemetry()
 }

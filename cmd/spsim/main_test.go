@@ -185,6 +185,16 @@ func TestFleetFlagValidationExits2(t *testing.T) {
 	}
 }
 
+// TestUnrunnableClusterMessage: a campaign definition that cannot run is
+// reported in the command's own words, with no package prefix.
+func TestUnrunnableClusterMessage(t *testing.T) {
+	const want = "spsim: cluster 0 has 127 nodes, but its mix can draw a 128-node job\n"
+	_, stderr, code := run(t, "-nodes", "127", "-days", "1")
+	if code != 2 || stderr != want {
+		t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
+	}
+}
+
 func TestFleetResumeBadCheckpointExits1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary run in -short mode")

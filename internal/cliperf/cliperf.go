@@ -1,7 +1,8 @@
-// Package cliperf is the campaign plumbing cmd/spsim and cmd/experiments
+// Package cliperf is the campaign front end cmd/spsim and cmd/experiments
 // share: the campaign flag set and its exit-2 rules, the one way both
-// run a campaign (fleet members from internal/core, run by fleet.Run),
-// pprof capture (-cpuprofile/-memprofile), the persisted
+// build a campaign (measure the kernel profiles, resolve the spec or the
+// built-in paper mix, and expand the fleet's members) and run it through
+// fleet.Run, pprof capture (-cpuprofile/-memprofile), the persisted
 // profile-measurement cache (-profile-cache) and the -telemetry
 // snapshot. Each binary keeps only its own flags and output.
 //
@@ -17,7 +18,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/profile"
@@ -198,34 +198,71 @@ func (c *Campaign) SaveProfileCache() error {
 	return trace.WriteProfileCacheFile(c.ProfileCache, profile.DefaultStore)
 }
 
-// Members measures the kernel profiles and builds the fleet the flags
-// describe (see core.System.FleetMembers), adding the -faults mix to
-// every cluster whose spec declares none. A definition that cannot run
-// exits 2.
+// Members builds the fleet the flags describe; a definition that cannot
+// run exits 2.
 func (c *Campaign) Members() []fleet.Member {
-	cfg := core.Config{Days: c.Days, Nodes: c.Nodes, Seed: c.Seed, Workers: c.Workers}
-	var sys *core.System
-	if c.sp == nil {
-		sys = core.New(cfg)
-	} else {
-		var err error
-		if sys, err = core.NewWithSpec(cfg, c.sp); err != nil {
-			c.Fail(2, err)
-		}
-	}
-	members, err := sys.FleetMembers(c.Clusters)
+	members, err := c.members()
 	if err != nil {
 		c.Fail(2, err)
 	}
-	if c.Faults {
-		for i := range members {
-			if members[i].Config.Faults == nil {
-				f := faults.Default()
-				members[i].Config.Faults = &f
-			}
+	return members
+}
+
+// members measures the kernel profiles and builds the fleet definition
+// fleet.Run runs: per-cluster campaign configs with substream-derived
+// seeds and the shared mix. -clusters > 0 runs that many copies of the
+// campaign block; 0 defers to the spec's fleet block (a fleet of one
+// without a spec, or when the spec has none). Non-zero -days and -nodes
+// override every cluster; zero inherits the campaign block and the
+// spec's per-cluster overrides. -faults adds the default fault mix to
+// every cluster whose spec declares none. A cluster with fewer days than
+// one, or fewer nodes than the largest job its mix can draw, is an
+// error: its campaign could not run to the end.
+func (c *Campaign) members() ([]fleet.Member, error) {
+	std := profile.MeasureStandardWorkers(c.Seed, c.Workers)
+	var (
+		cfgs []workload.Config
+		mix  workload.Mix
+	)
+	if c.sp == nil {
+		cfgs, mix = []workload.Config{workload.DefaultConfig(c.Seed)}, workload.DefaultMix(std)
+	} else {
+		// An explicit cluster count replaces the spec's fleet block.
+		sp := *c.sp
+		if c.Clusters > 0 {
+			sp.Fleet = nil
+		}
+		var err error
+		if cfgs, mix, err = spec.ResolveFleet(&sp, std); err != nil {
+			return nil, err
 		}
 	}
-	return members
+	for len(cfgs) < c.Clusters {
+		cfgs = append(cfgs, cfgs[0])
+	}
+	maxJob := mix.MaxJobNodes()
+	members := make([]fleet.Member, len(cfgs))
+	for i, cfg := range cfgs {
+		if c.Days != 0 {
+			cfg.Days = c.Days
+		}
+		if c.Nodes != 0 {
+			cfg.Nodes = c.Nodes
+		}
+		cfg.Seed = workload.ClusterSeed(c.Seed, i)
+		switch {
+		case cfg.Days < 1:
+			return nil, fmt.Errorf("cluster %d has %d days, want at least 1", i, cfg.Days)
+		case cfg.Nodes < maxJob:
+			return nil, fmt.Errorf("cluster %d has %d nodes, but its mix can draw a %d-node job", i, cfg.Nodes, maxJob)
+		}
+		if c.Faults && cfg.Faults == nil {
+			f := faults.Default()
+			cfg.Faults = &f
+		}
+		members[i] = fleet.Member{Config: cfg, Mix: mix}
+	}
+	return members, nil
 }
 
 // Run prints the banner and runs the members through fleet.Run with the
@@ -267,12 +304,13 @@ func (c *Campaign) Run(members []fleet.Member, sinks ...workload.Reducer) (workl
 	return res, true
 }
 
-// PrintTelemetry appends snap in the -telemetry format; a no-op without
-// the flag.
-func (c *Campaign) PrintTelemetry(snap telemetry.Snapshot) {
+// PrintTelemetry appends the process-wide hpmtel snapshot, taken now, in
+// the -telemetry format; a no-op without the flag.
+func (c *Campaign) PrintTelemetry() {
 	if c.Telemetry == "" {
 		return
 	}
+	snap := telemetry.Default.Snapshot()
 	fmt.Printf("\n=== telemetry (hpmtel) ===\n")
 	var err error
 	if c.Telemetry == "json" {

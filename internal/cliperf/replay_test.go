@@ -1,6 +1,6 @@
-package core
+package cliperf
 
-// Record/replay through the fleet definitions the facade builds: the
+// Record/replay through the fleet definitions members() builds: the
 // golden campaign hash must come back through a live record and a
 // replay at shards {1, 4}, and the committed trace fixtures — recorded
 // by spsim, and recorded again at each trace format version with their
@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/replay"
 	"repro/internal/spec"
@@ -41,8 +40,8 @@ func TestFleetMembersRecordReplayGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden fleet campaign is a full 2-day simulation per case")
 	}
-	members := []fleet.Member{fleetOfOne(t, New(Config{Days: 2, Seed: 7, Workers: 1}))}
-	path := filepath.Join(t.TempDir(), "core-fleet.trace.gz")
+	members := []fleet.Member{fleetOfOne(t, &Campaign{Days: 2, Seed: 7, Workers: 1})}
+	path := filepath.Join(t.TempDir(), "fleet.trace.gz")
 	live, err := fleet.Run(members, fleet.Options{RecordTo: path})
 	if err != nil {
 		t.Fatalf("fleet record: %v", err)
@@ -81,39 +80,22 @@ var traceFixtures = []traceFixture{
 	// A heterogeneous fleet: the spec's fleet block gives its three
 	// clusters 2, 1 and 3 days on 144, 128 and 160 nodes at different
 	// demand levels.
-	{"paper-1996-hetero.trace.gz", "spsim -seed 7 -spec internal/core/testdata/paper-1996-hetero.json -shards 1",
+	{"paper-1996-hetero.trace.gz", "spsim -seed 7 -spec internal/cliperf/testdata/paper-1996-hetero.json -shards 1",
 		"testdata/paper-1996-hetero.json", 0, false, 0, 0x1475bed65e7774cf},
 }
 
-// fixtureMembers rebuilds a fixture's definition the way the CLIs do
-// (internal/cliperf): the system from the seed, days and spec, its
-// fleet members, and the default fault mix on clusters without one.
+// fixtureMembers builds a fixture's definition as its recording command
+// line did: the spec loaded as Start loads -spec, then members().
 func fixtureMembers(t *testing.T, fx traceFixture, seed uint64, workers int) []fleet.Member {
 	t.Helper()
-	cfg := Config{Days: fx.days, Seed: seed, Workers: workers}
-	var s *System
-	if fx.spec == "" {
-		s = New(cfg)
-	} else {
-		sp, err := spec.Load(fx.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s, err = NewWithSpec(cfg, sp); err != nil {
+	c := &Campaign{Days: fx.days, Seed: seed, Workers: workers, Faults: fx.faults, Clusters: fx.fleet}
+	if fx.spec != "" {
+		var err error
+		if c.sp, err = spec.Load(fx.spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	members, err := s.FleetMembers(fx.fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range members {
-		if fx.faults && members[i].Config.Faults == nil {
-			f := faults.Default()
-			members[i].Config.Faults = &f
-		}
-	}
-	return members
+	return mustMembers(t, c)
 }
 
 // TestTraceFixturesReplay replays each committed trace at workers

@@ -167,7 +167,7 @@ func DiffBaseline(current []Finding, base *Baseline) (newFindings, stale []Findi
 }
 
 // ModuleRoot exposes the go.mod discovery used by the loader, so the
-// command can relativize findings the same way Load resolved them.
+// command can relativize findings the same way LoadProgram resolved them.
 func ModuleRoot(dir string) (string, error) {
 	root, _, err := moduleRoot(dir)
 	return root, err

@@ -124,15 +124,6 @@ func suppressed(d Diagnostic, sups []suppression) bool {
 	return false
 }
 
-// RunAnalyzers applies the given analyzers to each package, filters
-// suppressed findings, and returns the rest sorted by position. The
-// packages are treated as a self-contained program (no external dependency
-// closure); use RunProgramAnalyzers with LoadProgram when interprocedural
-// analyzers must follow calls into packages the patterns did not match.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunProgramAnalyzers(NewProgram(pkgs), analyzers)
-}
-
 // RunProgramAnalyzers applies the given analyzers to the program, filters
 // suppressed findings, and returns the rest sorted by position.
 //

@@ -101,11 +101,11 @@ func TestAnalyzerGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.fixture)
-			pkgs, err := Load(".", dir)
+			prog, err := LoadProgram(".", dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diags := RunAnalyzers(pkgs, tc.analyzers)
+			diags := RunProgramAnalyzers(prog, tc.analyzers)
 			wants := parseWants(t, dir)
 			for _, d := range diags {
 				matched := false
@@ -133,11 +133,11 @@ func TestAnalyzerGolden(t *testing.T) {
 // TestBadIgnoreReported checks that a suppression without a reason is
 // itself reported and suppresses nothing.
 func TestBadIgnoreReported(t *testing.T) {
-	pkgs, err := Load(".", filepath.Join("testdata", "src", "badignore"))
+	prog, err := LoadProgram(".", filepath.Join("testdata", "src", "badignore"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers(pkgs, Analyzers())
+	diags := RunProgramAnalyzers(prog, Analyzers())
 	var rules []string
 	for _, d := range diags {
 		rules = append(rules, d.Rule)
@@ -245,11 +245,11 @@ func TestEnginePackagesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := Load(root, "./internal/workload", "./internal/profile")
+	prog, err := LoadProgram(root, "./internal/workload", "./internal/profile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers(pkgs, []*Analyzer{GuardedStateAnalyzer(), NondeterminismAnalyzer()})
+	diags := RunProgramAnalyzers(prog, []*Analyzer{GuardedStateAnalyzer(), NondeterminismAnalyzer()})
 	for _, d := range diags {
 		t.Errorf("engine finding: %s", d)
 	}
@@ -267,11 +267,11 @@ func TestTelemetryPackageClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := Load(root, "./internal/telemetry")
+	prog, err := LoadProgram(root, "./internal/telemetry")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers(pkgs, []*Analyzer{GuardedStateAnalyzer(), NondeterminismAnalyzer()})
+	diags := RunProgramAnalyzers(prog, []*Analyzer{GuardedStateAnalyzer(), NondeterminismAnalyzer()})
 	for _, d := range diags {
 		t.Errorf("telemetry finding: %s", d)
 	}
@@ -306,11 +306,11 @@ func TestSuppressionPlacement(t *testing.T) {
 
 // TestLoadErrors pins loader failure modes.
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(".", "no/such/dir"); err == nil {
-		t.Error("Load of a missing directory should fail")
+	if _, err := LoadProgram(".", "no/such/dir"); err == nil {
+		t.Error("LoadProgram of a missing directory should fail")
 	}
-	if _, err := Load(".", "../../../outside"); err == nil {
-		t.Error("Load escaping the module root should fail")
+	if _, err := LoadProgram(".", "../../../outside"); err == nil {
+		t.Error("LoadProgram escaping the module root should fail")
 	}
 }
 

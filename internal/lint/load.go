@@ -155,20 +155,9 @@ func (l *loader) parseDir(dir string) ([]*ast.File, string, error) {
 	return files, pkgName, nil
 }
 
-// Load resolves patterns relative to dir and returns the matched packages,
-// parsed and type-checked. Supported patterns are Go-style: a directory
-// path ("./internal/hpm"), or a "..." wildcard ("./...",
-// "./internal/lint/testdata/src/...") that walks subdirectories. As with
-// the go tool, wildcard walks skip testdata and hidden directories — but a
-// pattern rooted *inside* a testdata tree matches normally, which is how
-// the violation fixtures are linted on purpose.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	pkgs, _, err := load(dir, patterns...)
-	return pkgs, err
-}
-
-// load is Load exposing the loader, whose cache holds the dependency
-// closure LoadProgram hands to the interprocedural analyzers.
+// load resolves patterns as LoadProgram documents and returns the matched
+// packages and the loader, whose cache holds the dependency closure
+// LoadProgram hands to the interprocedural analyzers.
 func load(dir string, patterns ...string) ([]*Package, *loader, error) {
 	root, modpath, err := moduleRoot(dir)
 	if err != nil {

@@ -31,34 +31,28 @@ type Program struct {
 	cg      *callGraph
 }
 
-// NewProgram wraps already-loaded packages as a self-contained program
-// (All == Pkgs). Used by tests and the per-package compatibility path.
-func NewProgram(pkgs []*Package) *Program {
-	prog := &Program{Pkgs: pkgs, All: pkgs}
-	prog.index()
-	return prog
-}
-
-func (prog *Program) index() {
-	prog.matched = make(map[*Package]bool, len(prog.Pkgs))
-	for _, p := range prog.Pkgs {
-		prog.matched[p] = true
-	}
-}
-
 // Matched reports whether p was named by the load patterns (as opposed to
 // being pulled in as a dependency).
 func (prog *Program) Matched(p *Package) bool { return prog.matched[p] }
 
-// LoadProgram is Load plus the dependency closure: the returned Program's
-// Pkgs are exactly what Load would return, and All additionally carries
-// every module-local package the loader type-checked on the way.
+// LoadProgram resolves patterns relative to dir and returns the matched
+// packages, parsed and type-checked, as Pkgs, with All additionally
+// carrying every module-local package the loader type-checked on the way.
+// Supported patterns are Go-style: a directory path ("./internal/hpm"),
+// or a "..." wildcard ("./...", "./internal/lint/testdata/src/...") that
+// walks subdirectories. As with the go tool, wildcard walks skip testdata
+// and hidden directories — but a pattern rooted *inside* a testdata tree
+// matches normally, which is how the violation fixtures are linted on
+// purpose.
 func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	pkgs, l, err := load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{Pkgs: pkgs}
+	prog := &Program{Pkgs: pkgs, matched: make(map[*Package]bool, len(pkgs))}
+	for _, p := range pkgs {
+		prog.matched[p] = true
+	}
 	var paths []string
 	for path := range l.cache {
 		paths = append(paths, path)
@@ -67,7 +61,6 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	for _, path := range paths {
 		prog.All = append(prog.All, l.cache[path])
 	}
-	prog.index()
 	return prog, nil
 }
 

@@ -198,11 +198,12 @@ func MeasureStandard(seed uint64) Standard {
 }
 
 // MeasureStandardWorkers builds the standard profile set with at most
-// workers kernel micro-simulations in flight, consulting (and filling)
-// the DefaultStore. Each measurement runs on its own freshly-seeded CPU
-// and writes its own field of the result, so the profiles are
-// bit-identical for every worker count — and, because a store hit returns
-// exactly what the simulation would compute, for store hits and misses.
+// workers kernel micro-simulations in flight (fewer than one means
+// GOMAXPROCS), consulting (and filling) the DefaultStore. Each
+// measurement runs on its own freshly-seeded CPU and writes its own field
+// of the result, so the profiles are bit-identical for every worker count
+// — and, because a store hit returns exactly what the simulation would
+// compute, for store hits and misses.
 func MeasureStandardWorkers(seed uint64, workers int) Standard {
 	return MeasureStandardStore(DefaultStore, seed, workers)
 }
@@ -240,19 +241,12 @@ func MeasureStandardStore(store *Store, seed uint64, workers int) Standard {
 		{&std.Comm, "comm", base, instrsPerMeasurement},
 		{&std.Paging, "paging", pagingCfg, 700_000},
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			*t.dst = measure(mustKernel(t.kernel), t.cfg, t.instrs)
-		}
-		return std
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(workers, len(tasks)))
 	for _, t := range tasks {
-		t := t
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {

@@ -159,11 +159,14 @@ func TestStoreEntriesDeterministic(t *testing.T) {
 }
 
 // MeasureStandardStore with a warm store must reproduce the uncached
-// standard profiles exactly, at any worker count.
+// standard profiles exactly, at any worker count (0 is GOMAXPROCS).
 func TestMeasureStandardStoreEquivalence(t *testing.T) {
 	reference := MeasureStandardStore(nil, 42, 1)
+	if got := MeasureStandardStore(nil, 42, 0); got != reference {
+		t.Fatal("uncached standard profiles at width 0 diverged from width 1")
+	}
 	s := NewStore()
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4, 0} {
 		got := MeasureStandardStore(s, 42, workers)
 		if got != reference {
 			t.Fatalf("store-backed standard profiles (workers=%d) diverged from uncached reference", workers)

@@ -380,6 +380,17 @@ func TestBatchFallbackErrorClassification(t *testing.T) {
 	}
 }
 
+// TestOutOfStep: the nil error of every successful node read keeps the
+// connection in step without allocating.
+func TestOutOfStep(t *testing.T) {
+	if outOfStep(nil) {
+		t.Fatal("a nil error took the connection out of step")
+	}
+	if n := testing.AllocsPerRun(100, func() { outOfStep(nil) }); n != 0 {
+		t.Errorf("outOfStep(nil) allocates %.1f times", n)
+	}
+}
+
 // TestBatchFallbackWindows: a v1 batch of more than two windows answers
 // every node in request order, with the failing nodes at the first and
 // last place of a window and an unknown node inside one recorded against

@@ -425,8 +425,11 @@ func (e *daemonError) Unwrap() error { return errProtocol }
 // outOfStep reports whether err may have left the connection's response
 // stream out of step: any error but a daemon's ERR.
 func outOfStep(err error) bool {
+	if err == nil {
+		return false
+	}
 	var de *daemonError
-	return err != nil && !errors.As(err, &de)
+	return !errors.As(err, &de)
 }
 
 // parseKeyInt parses a line that must be exactly key, one space and one

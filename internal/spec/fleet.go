@@ -4,7 +4,7 @@ package spec
 // config per cluster. Like Resolve, this is pure wiring — every cluster
 // starts as the resolved campaign block, overrides specialize
 // individual members, and Seed stays zero for the caller
-// (internal/core derives per-cluster seeds with workload.ClusterSeed).
+// (internal/cliperf derives per-cluster seeds with workload.ClusterSeed).
 
 import (
 	"fmt"

@@ -147,7 +147,7 @@ func edgeResults() map[string]workload.Result {
 // TestWriteMatchesEncodingJSON pins the encoder's bytes to encoding/json's
 // on the edge Results and on 2-day paper and faulted campaigns, whose
 // databases take more than one chunk. The committed trace fixtures'
-// Results are pinned in internal/core (TestTraceFixturesDatabaseBytes).
+// Results are pinned in internal/cliperf (TestTraceFixturesDatabaseBytes).
 func TestWriteMatchesEncodingJSON(t *testing.T) {
 	for name, res := range edgeResults() {
 		pinEncoders(t, name, res)

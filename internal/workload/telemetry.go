@@ -44,19 +44,3 @@ func addLedger(c *telemetry.Counter, v int64) {
 		c.Add(uint64(v))
 	}
 }
-
-// TelemetryReducer is the reduce-stage tap for hpmtel: it ignores the day
-// stream and captures a snapshot of the process-wide registry when the
-// campaign finishes, so a telemetry dump rides alongside the Result in a
-// TeeReducer without touching the Result itself (the golden-hash
-// contract: observability is never part of the reduction).
-type TelemetryReducer struct {
-	// Snapshot is populated by Finish.
-	Snapshot telemetry.Snapshot
-}
-
-// ReduceDay ignores the day stream.
-func (r *TelemetryReducer) ReduceDay(Day) {}
-
-// Finish captures the process-wide telemetry snapshot.
-func (r *TelemetryReducer) Finish(Final) { r.Snapshot = telemetry.Default.Snapshot() }

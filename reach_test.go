@@ -39,9 +39,6 @@ var unlinkedAllowed = map[string]string{
 	"trace.injectFaults":         "FailWrites' hook into the file writer",
 	"trace.(*faultyFile).Write":  "the injected write fault",
 	"trace.(*faultyFile).Sync":   "the injected sync fault",
-	"lint.Load":                  "lint's tests load fixture packages; hpmlint loads through LoadProgram",
-	"lint.RunAnalyzers":          "lint's tests run analyzers over loaded fixtures",
-	"lint.NewProgram":            "RunAnalyzers' program over already-loaded packages",
 
 	// The telemetry switch: the golden hash is checked with telemetry off.
 	"telemetry.SetEnabled": "the golden, telemetry and root bench tests turn telemetry off and on",
@@ -58,7 +55,6 @@ var unlinkedAllowed = map[string]string{
 	"tlb.(*TLB).Contains":                "the tlb tests probe LRU victims and compare with the reference",
 	"vm.(*Manager).Resident":             "vm tests compare residency with the reference page table",
 	"vm.(*Manager).ResidentPages":        "vm tests compare resident counts with the reference page table",
-	"core.(*System).Profiles":            "core's test reads the profiles core.New measured",
 	"faults.(*Plan).Empty":               "faults tests check that a zero-rate plan schedules nothing",
 	"faults.(*UnreliableSource).Stats":   "faults and rs2hpm tests count the injected read failures",
 	"hpm.(*Monitor).Add":                 "hpm tests write counter slots directly",
