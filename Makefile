@@ -76,6 +76,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'CPUSimulation|CampaignDay' -benchtime 1x . | $(GO) run ./cmd/benchjson -o '' -diff BENCH_campaign.json
 	$(GO) test -run '^$$' -bench 'KernelSim' -benchtime 1x ./internal/kernels
 	$(GO) test -run '^$$' -bench 'Batch' -benchtime 1x ./internal/rs2hpm
+	$(GO) test -run '^$$' -bench 'PBSDay' -benchtime 1x ./internal/pbs
 
 # Regression gate: re-run the hot-path benchmarks and enforce the
 # committed tolerances/ratios in BENCH_gates.json against the committed

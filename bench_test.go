@@ -459,47 +459,3 @@ func BenchmarkNPBSuite(b *testing.B) {
 	}
 	printOnce("npb", s.Render())
 }
-
-// BenchmarkAblationCheckpointing implements the capability the paper says
-// the real system lacked ("System administrators could not checkpoint
-// MPI/PVM jobs and had to rely upon draining the queues") and measures
-// what it buys an 80-node job on a busy machine.
-func BenchmarkAblationCheckpointing(b *testing.B) {
-	runOnce := func(checkpoint bool) (bigJobWait float64, preemptions int) {
-		clock := &simclock.Clock{}
-		nodes := make([]*node.Node, 100)
-		for i := range nodes {
-			nodes[i] = node.New(node.Config{ID: i})
-		}
-		srv := pbs.New(clock, nodes, pbs.Config{DrainThreshold: 64, Checkpointing: checkpoint})
-		for i := 0; i < 12; i++ {
-			at := simclock.Time(float64(i) * 50)
-			clock.At(at, func() {
-				if _, err := srv.Submit(pbs.Spec{Nodes: 30, WallSeconds: 300, Class: "x", MemoryPerNodeBytes: 1 << 20}); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-		clock.At(simclock.Time(10), func() {
-			if _, err := srv.Submit(pbs.Spec{Nodes: 80, WallSeconds: 100, Class: "big"}); err != nil {
-				b.Fatal(err)
-			}
-		})
-		clock.Run()
-		for _, rec := range srv.Records() {
-			if rec.Class == "big" {
-				return (rec.StartAt - rec.SubmitAt).Seconds(), srv.Preemptions()
-			}
-		}
-		return -1, srv.Preemptions()
-	}
-	var drainWait, ckptWait float64
-	var preempts int
-	for i := 0; i < b.N; i++ {
-		drainWait, _ = runOnce(false)
-		ckptWait, preempts = runOnce(true)
-	}
-	b.ReportMetric(drainWait, "bigjob-wait-s-drain")
-	b.ReportMetric(ckptWait, "bigjob-wait-s-checkpoint")
-	b.ReportMetric(float64(preempts), "preemptions")
-}

@@ -47,6 +47,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rs2hpm: -queue-policy must be block or drop, got %q\n", *queuePolicy)
 			os.Exit(2)
 		}
+		if *queueDepth < 1 {
+			fmt.Fprintf(os.Stderr, "rs2hpm: -queue-depth must be at least 1, got %d\n", *queueDepth)
+			os.Exit(2)
+		}
+		if *collectors < 0 {
+			fmt.Fprintf(os.Stderr, "rs2hpm: -collectors must not be negative, got %d\n", *collectors)
+			os.Exit(2)
+		}
+		if *retries < 0 {
+			fmt.Fprintf(os.Stderr, "rs2hpm: -retries must not be negative, got %d\n", *retries)
+			os.Exit(2)
+		}
 		runCollect(collectSettings{
 			addrs:      *addrs,
 			fallback:   *addr,

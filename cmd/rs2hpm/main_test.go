@@ -79,6 +79,10 @@ func TestFlagValidationExits2(t *testing.T) {
 		{"every-zero", []string{"-collect", "1s", "-every", "0"}, "-every must be positive"},
 		{"every-negative", []string{"-collect", "1s", "-every", "-1s"}, "-every must be positive"},
 		{"queue-policy", []string{"-collect", "1s", "-queue-policy", "x"}, "-queue-policy must be block or drop"},
+		{"queue-depth-zero", []string{"-collect", "1s", "-queue-depth", "0"}, "-queue-depth must be at least 1"},
+		{"queue-depth-negative", []string{"-collect", "1s", "-queue-depth", "-5"}, "-queue-depth must be at least 1"},
+		{"collectors-negative", []string{"-collect", "1s", "-collectors", "-3"}, "-collectors must not be negative"},
+		{"retries-negative", []string{"-collect", "1s", "-retries", "-2"}, "-retries must not be negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

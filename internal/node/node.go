@@ -1,8 +1,8 @@
 // Package node assembles one SP2 node: a POWER2 CPU with its hardware
-// performance monitor, at least 128 MB of memory, a 2 GB local disk, and a
-// switch adapter. The node is where architectural simulation (instruction
-// streams through the CPU) and campaign-level accounting (DMA traffic,
-// disk I/O, monitor snapshots for the RS2HPM daemon) meet.
+// performance monitor, at least 128 MB of memory, and a switch adapter.
+// The node is where architectural simulation (instruction streams through
+// the CPU) and campaign-level accounting (DMA traffic, monitor snapshots
+// for the RS2HPM daemon) meet.
 package node
 
 import (
@@ -31,10 +31,9 @@ type Config struct {
 // access from the RS2HPM daemon's TCP handlers; the CPU itself is driven
 // from the simulation goroutine only.
 type Node struct {
-	id   int
-	cpu  *power2.CPU // driven from the simulation goroutine, under mu
-	disk *Disk
-	acc  *hpm.Accumulator // guarded by mu; the daemon's extended 64-bit counter view
+	id  int
+	cpu *power2.CPU      // driven from the simulation goroutine, under mu
+	acc *hpm.Accumulator // guarded by mu; the daemon's extended 64-bit counter view
 
 	mu sync.Mutex // guards monitor access for cross-goroutine snapshots
 }
@@ -51,10 +50,9 @@ func New(cfg Config) *Node {
 	}
 	cpu := power2.New(cpuCfg)
 	return &Node{
-		id:   cfg.ID,
-		cpu:  cpu,
-		disk: NewDisk(),
-		acc:  hpm.NewAccumulator(cpu.Monitor()),
+		id:  cfg.ID,
+		cpu: cpu,
+		acc: hpm.NewAccumulator(cpu.Monitor()),
 	}
 }
 
@@ -66,9 +64,6 @@ func (n *Node) NodeID() int { return n.id }
 
 // CPU exposes the processor (single-goroutine use only).
 func (n *Node) CPU() *power2.CPU { return n.cpu }
-
-// Disk exposes the local disk model.
-func (n *Node) Disk() *Disk { return n.disk }
 
 // RunLimited executes at most k instructions.
 func (n *Node) RunLimited(s isa.Stream, k uint64) power2.RunStats {
@@ -173,44 +168,4 @@ func (n *Node) ResetExtendedTotals() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.acc.Reset()
-}
-
-// Disk is the node's local disk plus its NFS path to the home filesystems:
-// a traffic ledger whose bytes also appear in the DMA counters (the paper
-// notes disk traffic shows up in the DMA read/write system report). Safe
-// for concurrent use: the simulation goroutine and campaign bookkeeping
-// may touch it from different goroutines.
-type Disk struct {
-	mu         sync.Mutex
-	readBytes  uint64 // guarded by mu
-	writeBytes uint64 // guarded by mu
-}
-
-// NewDisk builds a disk with no traffic recorded.
-func NewDisk() *Disk {
-	return &Disk{}
-}
-
-// RecordIO accumulates raw traffic counters.
-func (d *Disk) RecordIO(readBytes, writeBytes uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.readBytes += readBytes
-	d.writeBytes += writeBytes
-}
-
-// Traffic reports accumulated read/write bytes.
-func (d *Disk) Traffic() (readBytes, writeBytes uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.readBytes, d.writeBytes
-}
-
-// DiskIO performs disk traffic on the node: it charges the DMA counters
-// (reads from disk are device-to-memory dma_write transfers and vice
-// versa) and records the raw byte counts.
-func (n *Node) DiskIO(readBytes, writeBytes uint64) {
-	const per = 64
-	n.AccountDMA((writeBytes+per-1)/per, (readBytes+per-1)/per)
-	n.disk.RecordIO(readBytes, writeBytes)
 }

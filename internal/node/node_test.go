@@ -58,24 +58,6 @@ func TestAccountDMA(t *testing.T) {
 	}
 }
 
-func TestDiskIOChargesDMA(t *testing.T) {
-	n := testNode(0)
-	// Reading 6400 bytes from disk = 100 device-to-memory (dma_write)
-	// transfers; writing 640 = 10 memory-to-device (dma_read).
-	n.DiskIO(6400, 640)
-	s := n.Counters()
-	if got := s.Get(hpm.User, hpm.EvDMAWrite); got != 100 {
-		t.Fatalf("dma_write = %d, want 100", got)
-	}
-	if got := s.Get(hpm.User, hpm.EvDMARead); got != 10 {
-		t.Fatalf("dma_read = %d, want 10", got)
-	}
-	r, w := n.Disk().Traffic()
-	if r != 6400 || w != 640 {
-		t.Fatalf("traffic = %d/%d", r, w)
-	}
-}
-
 func TestWithAccumulatorAndReset(t *testing.T) {
 	n := testNode(0)
 	n.WithAccumulator(func(a *hpm.Accumulator) { a.AddDirect(hpm.User, hpm.EvCycles, 42) })
@@ -155,28 +137,5 @@ func TestAddIOWaitInvisibleUnderNAS(t *testing.T) {
 	}
 	if total != 0 {
 		t.Fatalf("I/O wait leaked into NAS-selected counters: %d", total)
-	}
-}
-
-// TestConcurrentDiskTrafficDoesNotRace drives disk bookkeeping from
-// several goroutines at once, as campaign bookkeeping and the simulation
-// goroutine may: the traffic counters must be guarded.
-func TestConcurrentDiskTrafficDoesNotRace(t *testing.T) {
-	n := testNode(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				n.DiskIO(128, 64)
-				n.Disk().Traffic()
-			}
-		}()
-	}
-	wg.Wait()
-	r, w := n.Disk().Traffic()
-	if r != 4*500*128 || w != 4*500*64 {
-		t.Fatalf("Traffic() = %d, %d", r, w)
 	}
 }

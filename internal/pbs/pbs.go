@@ -21,28 +21,6 @@ import (
 	"repro/internal/simclock"
 )
 
-// State is a job's lifecycle position.
-type State uint8
-
-// Job states.
-const (
-	Queued State = iota
-	Running
-	Completed
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case Queued:
-		return "queued"
-	case Running:
-		return "running"
-	default:
-		return "completed"
-	}
-}
-
 // Spec describes a submitted job.
 type Spec struct {
 	User string
@@ -72,24 +50,12 @@ type Job struct {
 	ID   int
 	Spec Spec
 
-	State    State
 	SubmitAt simclock.Time
 	StartAt  simclock.Time
 	EndAt    simclock.Time
 
 	nodes []*node.Node
-	// prologue counter baselines, one per allocated node.
-	baseline []hpm.Counts64
-
-	// Checkpoint/restart state (the extension the paper says the real
-	// PBS lacked): remaining wall time, accumulated counter deltas from
-	// completed segments, and the pending end event.
-	remaining   float64
-	segments    []hpm.Delta
-	endEvent    *simclock.Event
-	firstStart  simclock.Time
-	wasStarted  bool
-	Preemptions int
+	idx   []int // the nodes' cluster indices, which key Server.baseline
 }
 
 // Nodes returns the allocated nodes (nil until the job starts).
@@ -107,8 +73,9 @@ type Record struct {
 	EndAt              simclock.Time
 	WallSeconds        float64
 	MemoryPerNodeBytes uint64
-	// Preemptions counts checkpoint/restart cycles (0 without the
-	// checkpointing extension).
+	// Preemptions is always 0: the paper's PBS could not checkpoint a
+	// job, so a job runs once, on the nodes it started on. The field
+	// stays because the result database and the CSV carry it.
 	Preemptions int
 	// PerNode holds the counter delta each allocated node accumulated
 	// between prologue and epilogue.
@@ -156,15 +123,6 @@ type Config struct {
 	// (the paper analyses jobs exceeding 600 s to filter interactive
 	// sessions and benchmarking runs). Zero keeps everything.
 	MinRecordWall float64
-	// Checkpointing enables the extension the real system lacked ("System
-	// administrators could not checkpoint MPI/PVM jobs and had to rely
-	// upon draining the queues"): when a large job waits, running jobs
-	// are checkpointed to free its nodes instead of holding the queue.
-	Checkpointing bool
-	// CheckpointSeconds is the save+restore overhead added to a preempted
-	// job's remaining wall time (default 120 s: image the per-node memory
-	// to disk and back).
-	CheckpointSeconds float64
 }
 
 // Server is the batch system for one cluster.
@@ -173,22 +131,20 @@ type Server struct {
 	clock *simclock.Clock
 	nodes []*node.Node
 	free  []int // free node indices (sorted for determinism)
+	// baseline[i] is node i's prologue counter capture. Nodes are
+	// dedicated, so the job running on node i owns slot i.
+	baseline []hpm.Counts64
 
 	queue   []*Job
 	running map[int]*Job
 	nextID  int
 	records []Record
 
-	// Hooks. OnStart fires after the prologue captured baselines (also on
-	// every restart after a checkpoint); OnEnd fires before the epilogue
-	// reads final counters, so the campaign can flush any outstanding
-	// counter extrapolation for the job. OnPreempt fires before a
-	// checkpointed job's segment counters are captured.
-	OnStart   func(j *Job)
-	OnEnd     func(j *Job)
-	OnPreempt func(j *Job)
-
-	preemptions int
+	// Hooks. OnStart fires after the prologue captured baselines; OnEnd
+	// fires before the epilogue reads final counters, so the campaign can
+	// flush any outstanding counter extrapolation for the job.
+	OnStart func(j *Job)
+	OnEnd   func(j *Job)
 
 	busyNodeSeconds float64 // accumulated over completed jobs
 	droppedRecords  int
@@ -202,15 +158,13 @@ func New(clock *simclock.Clock, nodes []*node.Node, cfg Config) *Server {
 	if cfg.DrainThreshold == 0 {
 		cfg.DrainThreshold = 64
 	}
-	if cfg.CheckpointSeconds == 0 {
-		cfg.CheckpointSeconds = 120
-	}
 	s := &Server{
-		cfg:     cfg,
-		clock:   clock,
-		nodes:   nodes,
-		running: make(map[int]*Job),
-		nextID:  1,
+		cfg:      cfg,
+		clock:    clock,
+		nodes:    nodes,
+		baseline: make([]hpm.Counts64, len(nodes)),
+		running:  make(map[int]*Job),
+		nextID:   1,
 	}
 	for i := range nodes {
 		s.free = append(s.free, i)
@@ -230,7 +184,7 @@ func (s *Server) Submit(spec Spec) (int, error) {
 	if spec.WallSeconds <= 0 {
 		return 0, fmt.Errorf("pbs: job has non-positive wall time %v", spec.WallSeconds)
 	}
-	j := &Job{ID: s.nextID, Spec: spec, State: Queued, SubmitAt: s.clock.Now()}
+	j := &Job{ID: s.nextID, Spec: spec, SubmitAt: s.clock.Now()}
 	s.nextID++
 	s.queue = append(s.queue, j)
 	s.schedule()
@@ -249,22 +203,6 @@ func (s *Server) schedule() {
 			continue // same index now holds the next job
 		}
 		if j.Spec.Nodes > s.cfg.DrainThreshold {
-			if s.cfg.Checkpointing && s.preemptFor(j) {
-				// checkpoint() prepended the victims, shifting indices;
-				// locate j, start it on the freed nodes before anything
-				// else (in particular before its own victims, which sit
-				// at the queue head and would otherwise reclaim the
-				// nodes and livelock), then rescan.
-				for k, q := range s.queue {
-					if q == j {
-						s.queue = append(s.queue[:k], s.queue[k+1:]...)
-						break
-					}
-				}
-				s.start(j)
-				i = 0
-				continue
-			}
 			// Drain: hold all later jobs so the big one can accumulate
 			// free nodes.
 			return
@@ -273,126 +211,31 @@ func (s *Server) schedule() {
 	}
 }
 
-// preemptFor checkpoints running jobs (most recently started first, so the
-// longest-running work survives) until j fits. It reports whether enough
-// nodes were freed.
-func (s *Server) preemptFor(j *Job) bool {
-	candidates := make([]*Job, 0, len(s.running))
-	for _, r := range s.running {
-		// Large jobs are never victims: preempting one large job for
-		// another would ping-pong forever, and the point of the extension
-		// is to clear *small* jobs out of a large job's way.
-		if r.Spec.Nodes > s.cfg.DrainThreshold {
-			continue
-		}
-		candidates = append(candidates, r)
-	}
-	// Most recent starters first; ties by descending ID for determinism.
-	sort.Slice(candidates, func(a, b int) bool {
-		if candidates[a].StartAt != candidates[b].StartAt {
-			return candidates[a].StartAt > candidates[b].StartAt
-		}
-		return candidates[a].ID > candidates[b].ID
-	})
-	need := j.Spec.Nodes - len(s.free)
-	var victims []*Job
-	for _, v := range candidates {
-		if need <= 0 {
-			break
-		}
-		victims = append(victims, v)
-		need -= len(v.nodes)
-	}
-	if need > 0 {
-		return false // even preempting everything would not fit
-	}
-	for _, v := range victims {
-		s.checkpoint(v)
-	}
-	return len(s.free) >= j.Spec.Nodes
-}
-
-// checkpoint suspends a running job: counters are captured into a segment,
-// the memory image is written to each node's disk (DMA-visible), and the
-// job returns to the head of the queue with its remaining wall time plus
-// the save/restore overhead.
-func (s *Server) checkpoint(j *Job) {
-	if j.State != Running {
-		return
-	}
-	if s.OnPreempt != nil {
-		s.OnPreempt(j)
-	}
-	j.endEvent.Cancel()
-	j.remaining = (j.EndAt - s.clock.Now()).Seconds() + s.cfg.CheckpointSeconds
-	for i, nd := range j.nodes {
-		j.segments = append(j.segments, hpm.Sub64(j.baseline[i], nd.Counters()))
-		// Image the job's memory to local disk: memory-to-device DMA.
-		nd.DiskIO(0, j.Spec.MemoryPerNodeBytes)
-	}
-	s.busyNodeSeconds += float64(float64(len(j.nodes)) * (s.clock.Now() - j.StartAt).Seconds())
-	s.freeNodes(j)
-	j.nodes = nil
-	j.baseline = nil
-	j.State = Queued
-	j.Preemptions++
-	s.preemptions++
-	delete(s.running, j.ID)
-	// Back to the head: a checkpointed job resumes as soon as room exists.
-	s.queue = append([]*Job{j}, s.queue...)
-}
-
-// Preemptions reports total checkpoint events.
-func (s *Server) Preemptions() int { return s.preemptions }
-
 // freeNodes returns a job's nodes to the free pool (sorted).
 func (s *Server) freeNodes(j *Job) {
-	for _, nd := range j.nodes {
-		for i := range s.nodes {
-			if s.nodes[i] == nd {
-				s.free = append(s.free, i)
-				break
-			}
-		}
-	}
+	s.free = append(s.free, j.idx...)
 	sort.Ints(s.free)
 }
 
-// start allocates nodes, runs the prologue, and schedules completion. A
-// checkpointed job restarts here with its remaining wall time: the restore
-// reads the memory image back from disk.
+// start allocates nodes, runs the prologue, and schedules completion.
 func (s *Server) start(j *Job) {
 	n := j.Spec.Nodes
-	alloc := s.free[:n]
+	j.idx = s.free[:n:n]
 	s.free = append([]int(nil), s.free[n:]...)
 	j.nodes = make([]*node.Node, n)
-	j.baseline = make([]hpm.Counts64, n)
-	restore := j.wasStarted
-	for i, idx := range alloc {
+	for i, idx := range j.idx {
 		j.nodes[i] = s.nodes[idx]
-		if restore {
-			// Restore: read the checkpoint image (device-to-memory DMA).
-			s.nodes[idx].DiskIO(j.Spec.MemoryPerNodeBytes, 0)
-		}
 		// Prologue: capture the counter baseline on each node.
-		j.baseline[i] = s.nodes[idx].Counters()
+		s.baseline[idx] = s.nodes[idx].Counters()
 	}
-	wall := j.Spec.WallSeconds
-	if restore {
-		wall = j.remaining
-	} else {
-		j.firstStart = s.clock.Now()
-	}
-	j.wasStarted = true
-	j.State = Running
 	j.StartAt = s.clock.Now()
-	j.EndAt = j.StartAt + simclock.Time(wall)
+	j.EndAt = j.StartAt + simclock.Time(j.Spec.WallSeconds)
 	s.running[j.ID] = j
 
 	if s.OnStart != nil {
 		s.OnStart(j)
 	}
-	j.endEvent = s.clock.At(j.EndAt, func() { s.finish(j) })
+	s.clock.At(j.EndAt, func() { s.finish(j) })
 }
 
 // finish runs the epilogue, frees nodes, and reschedules the queue.
@@ -400,38 +243,23 @@ func (s *Server) finish(j *Job) {
 	if s.OnEnd != nil {
 		s.OnEnd(j)
 	}
-	startAt := j.StartAt
-	if j.Preemptions > 0 {
-		startAt = j.firstStart
-	}
 	rec := Record{
 		JobID:              j.ID,
 		User:               j.Spec.User,
 		Class:              j.Spec.Class,
 		NodesUsed:          len(j.nodes),
+		NodeIDs:            make([]int, len(j.nodes)),
 		SubmitAt:           j.SubmitAt,
-		StartAt:            startAt,
+		StartAt:            j.StartAt,
 		EndAt:              s.clock.Now(),
 		WallSeconds:        j.Spec.WallSeconds,
 		MemoryPerNodeBytes: j.Spec.MemoryPerNodeBytes,
-		Preemptions:        j.Preemptions,
+		PerNode:            make([]hpm.Delta, len(j.nodes)),
 	}
 	for i, nd := range j.nodes {
-		rec.NodeIDs = append(rec.NodeIDs, nd.ID())
-		rec.PerNode = append(rec.PerNode, hpm.Sub64(j.baseline[i], nd.Counters()))
+		rec.NodeIDs[i] = nd.ID()
+		rec.PerNode[i] = hpm.Sub64(s.baseline[j.idx[i]], nd.Counters())
 	}
-	// Fold in counter segments captured at checkpoints. Segment deltas are
-	// merged pairwise into the final per-node deltas (node sets across
-	// segments may differ; the aggregate statistics the records feed use
-	// totals, which merging preserves).
-	for i, seg := range j.segments {
-		if i < len(rec.PerNode) {
-			rec.PerNode[i].Add(seg)
-		} else {
-			rec.PerNode = append(rec.PerNode, seg)
-		}
-	}
-	j.State = Completed
 	delete(s.running, j.ID)
 	s.busyNodeSeconds += float64(float64(len(j.nodes)) * (s.clock.Now() - j.StartAt).Seconds())
 	s.freeNodes(j)

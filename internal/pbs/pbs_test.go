@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hpm"
 	"repro/internal/node"
+	"repro/internal/rng"
 	"repro/internal/simclock"
 )
 
@@ -263,155 +264,88 @@ func TestNewPanicsWithoutNodes(t *testing.T) {
 	New(&simclock.Clock{}, nil, Config{})
 }
 
-func TestCheckpointingFreesNodesForLargeJob(t *testing.T) {
-	clock, s := newServer(t, 100, Config{DrainThreshold: 64, Checkpointing: true, CheckpointSeconds: 60})
-	var order []int
-	s.OnStart = func(j *Job) { order = append(order, j.ID) }
-	small, _ := s.Submit(Spec{Nodes: 60, WallSeconds: 5000, MemoryPerNodeBytes: 1 << 20})
-	big, _ := s.Submit(Spec{Nodes: 80, WallSeconds: 100})
-	// The big job preempts the small one immediately instead of draining.
-	if len(order) < 2 || order[1] != big {
-		t.Fatalf("big job did not start via preemption: order=%v", order)
+// TestReusedNodeRecordsOnlyItsJob: a node's prologue baseline belongs to
+// the job on it. A job that reuses a node records only its own counts, not
+// the previous job's nor what the idle node counted between them, while a
+// job on other nodes keeps its own baselines.
+func TestReusedNodeRecordsOnlyItsJob(t *testing.T) {
+	clock, s := newServer(t, 3, Config{})
+	// Each job adds ID x 1000 FPU adds to each of its nodes.
+	s.OnEnd = func(j *Job) {
+		for _, nd := range j.Nodes() {
+			nd.WithAccumulator(func(acc *hpm.Accumulator) {
+				acc.AddDirect(hpm.User, hpm.EvFPU0Add, uint64(j.ID)*1000)
+			})
+		}
 	}
-	if s.Preemptions() != 1 {
-		t.Fatalf("preemptions = %d", s.Preemptions())
-	}
+	a, _ := s.Submit(Spec{Nodes: 1, WallSeconds: 100}) // node 0
+	b, _ := s.Submit(Spec{Nodes: 2, WallSeconds: 300}) // nodes 1 and 2
+	clock.RunUntil(simclock.Time(150))
+	clock.AdvanceTo(simclock.Time(150))
+	s.nodes[0].WithAccumulator(func(acc *hpm.Accumulator) {
+		acc.AddDirect(hpm.User, hpm.EvFPU0Add, 777) // idle-node counts
+	})
+	c, _ := s.Submit(Spec{Nodes: 1, WallSeconds: 100}) // node 0 again, beside b
 	clock.Run()
-	// Both jobs complete; the small one restarted after the big one.
+
+	want := map[int]struct {
+		nodes []int
+		adds  uint64
+	}{a: {[]int{0}, 1000}, b: {[]int{1, 2}, 2000}, c: {[]int{0}, 3000}}
 	recs := s.Records()
-	if len(recs) != 2 {
+	if len(recs) != 3 {
 		t.Fatalf("records = %d", len(recs))
 	}
 	for _, r := range recs {
-		if r.JobID == small {
-			if r.Preemptions != 1 {
-				t.Fatalf("small job preemptions = %d", r.Preemptions)
-			}
-			// Total span: ran twice with checkpoint overhead.
-			span := (r.EndAt - r.StartAt).Seconds()
-			if span <= 5000+60 {
-				t.Fatalf("preempted job span = %v, want > wall+overhead", span)
-			}
+		w := want[r.JobID]
+		if len(r.NodeIDs) != len(w.nodes) || len(r.PerNode) != len(w.nodes) {
+			t.Fatalf("job %d: nodes %v with %d deltas, want %v", r.JobID, r.NodeIDs, len(r.PerNode), w.nodes)
 		}
-		if r.JobID == big && r.Preemptions != 0 {
-			t.Fatal("big job should not be preempted")
+		for i, d := range r.PerNode {
+			if r.NodeIDs[i] != w.nodes[i] {
+				t.Fatalf("job %d: nodes %v, want %v", r.JobID, r.NodeIDs, w.nodes)
+			}
+			if got := d.Get(hpm.User, hpm.EvFPU0Add); got != w.adds {
+				t.Errorf("job %d node %d: %d adds, want %d", r.JobID, r.NodeIDs[i], got, w.adds)
+			}
 		}
 	}
 }
 
-func TestCheckpointWritesAndRestoresImages(t *testing.T) {
-	clock, s := newServer(t, 4, Config{DrainThreshold: 2, Checkpointing: true})
-	s.Submit(Spec{Nodes: 2, WallSeconds: 1000, MemoryPerNodeBytes: 64 << 20})
-	victimNodes := make([]*node.Node, 2)
-	copy(victimNodes, s.running[1].Nodes())
-	s.Submit(Spec{Nodes: 4, WallSeconds: 100}) // preempts the 2-node job
-	// The victim's nodes wrote their 64 MB images to disk.
-	for _, nd := range victimNodes {
-		_, w := nd.Disk().Traffic()
-		if w != 64<<20 {
-			t.Fatalf("checkpoint image write = %d bytes", w)
+// BenchmarkPBSDay schedules one simulated day of submissions on the
+// paper's 144 nodes: one every 5 minutes, walls from 700 s to 6 h, and
+// power-of-two requests from 1 to 128 nodes, each size half as likely as
+// the one below it (mean 4.5 nodes, about the machine's capacity), run
+// until the last job ends. No hook runs, so its time and B/op are the
+// scheduler's own: node allocation, the prologue and epilogue captures
+// and the accounting records.
+func BenchmarkPBSDay(b *testing.B) {
+	nodes := cluster(144)
+	src := rng.Stream(1, 0)
+	specs := make([]Spec, 86400/300)
+	for i := range specs {
+		k := 0
+		for k < 7 && src.Bool(0.5) {
+			k++
 		}
+		specs[i] = Spec{Nodes: 1 << k, WallSeconds: src.Range(700, 6*3600)}
 	}
-	clock.Run()
-	// After restore, the image was read back on the restart nodes.
-	var restored bool
-	for i := 0; i < 4; i++ {
-		r, _ := s.nodes[i].Disk().Traffic()
-		if r == 64<<20 {
-			restored = true
-		}
-	}
-	if !restored {
-		t.Fatal("no node read a restore image")
-	}
-	if len(s.Records()) != 2 {
-		t.Fatalf("records = %d", len(s.Records()))
-	}
-}
-
-func TestCheckpointSegmentsPreserveCounters(t *testing.T) {
-	clock, s := newServer(t, 4, Config{DrainThreshold: 2, Checkpointing: true, MinRecordWall: 0})
-	// The campaign-style hooks apply counters during each segment.
-	s.OnPreempt = func(j *Job) {
-		for _, nd := range j.Nodes() {
-			nd.WithAccumulator(func(a *hpm.Accumulator) {
-				a.AddDirect(hpm.User, hpm.EvFPU0Add, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clock := &simclock.Clock{}
+		s := New(clock, nodes, Config{DrainThreshold: 64, MinRecordWall: 600})
+		for k, spec := range specs {
+			spec := spec
+			clock.At(simclock.Time(k*300), func() {
+				if _, err := s.Submit(spec); err != nil {
+					b.Fatal(err)
+				}
 			})
 		}
-	}
-	s.OnEnd = func(j *Job) {
-		for _, nd := range j.Nodes() {
-			nd.WithAccumulator(func(a *hpm.Accumulator) {
-				a.AddDirect(hpm.User, hpm.EvFPU0Add, 500)
-			})
+		clock.Run()
+		if s.QueueLength() != 0 || s.DroppedRecords() != 0 {
+			b.Fatalf("day ended with %d queued and %d records dropped", s.QueueLength(), s.DroppedRecords())
 		}
-	}
-	victim, _ := s.Submit(Spec{Nodes: 2, WallSeconds: 1000, MemoryPerNodeBytes: 1 << 20})
-	s.Submit(Spec{Nodes: 4, WallSeconds: 100})
-	clock.Run()
-	for _, r := range s.Records() {
-		total := r.TotalDelta().Get(hpm.User, hpm.EvFPU0Add)
-		switch r.JobID {
-		case victim:
-			// Two nodes x (1000 at checkpoint + 500 at end) = 3000.
-			if total != 3000 {
-				t.Fatalf("victim counters = %d, want 3000 (segments lost?)", total)
-			}
-		default:
-			if total != 4*500 {
-				t.Fatalf("big job counters = %d", total)
-			}
-		}
-	}
-}
-
-func TestLargeJobsAreNeverVictims(t *testing.T) {
-	// Two above-threshold jobs must not checkpoint each other (the
-	// ping-pong hazard); the second drains behind the first instead.
-	clock, s := newServer(t, 4, Config{DrainThreshold: 1, Checkpointing: true})
-	var order []int
-	s.OnStart = func(j *Job) { order = append(order, j.ID) }
-	a, _ := s.Submit(Spec{Nodes: 2, WallSeconds: 50}) // above threshold 1
-	b, _ := s.Submit(Spec{Nodes: 4, WallSeconds: 10}) // also above threshold
-	if s.Preemptions() != 0 {
-		t.Fatalf("preemptions = %d, want 0 (large jobs are not victims)", s.Preemptions())
-	}
-	clock.Run()
-	if len(s.Records()) != 2 {
-		t.Fatal("jobs lost")
-	}
-	if len(order) != 2 || order[0] != a || order[1] != b {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestPreemptionFailsWhenVictimsInsufficient(t *testing.T) {
-	// A small job holds 1 node, a large job already holds 2 (not a
-	// victim); a 4-node job cannot be satisfied by preemption and drains.
-	clock, s := newServer(t, 4, Config{DrainThreshold: 2, Checkpointing: true})
-	s.Submit(Spec{Nodes: 3, WallSeconds: 30}) // above threshold: protected
-	s.Submit(Spec{Nodes: 1, WallSeconds: 500, MemoryPerNodeBytes: 1 << 20})
-	s.Submit(Spec{Nodes: 4, WallSeconds: 10})
-	// Preempting the 1-node job alone cannot free 4 nodes.
-	if s.Preemptions() != 0 {
-		t.Fatalf("futile preemption happened: %d", s.Preemptions())
-	}
-	clock.Run()
-	if len(s.Records()) != 3 {
-		t.Fatalf("records = %d", len(s.Records()))
-	}
-}
-
-func TestBusyAccountingWithCheckpoint(t *testing.T) {
-	clock, s := newServer(t, 4, Config{DrainThreshold: 2, Checkpointing: true, CheckpointSeconds: 40})
-	s.Submit(Spec{Nodes: 2, WallSeconds: 300, MemoryPerNodeBytes: 1 << 20})
-	clock.AdvanceTo(simclock.Time(100))
-	s.Submit(Spec{Nodes: 4, WallSeconds: 100}) // preempts at t=100
-	clock.Run()
-	// Busy node-seconds: victim segment 2x100, big job 4x100, victim
-	// remainder 2x(200+40).
-	want := 200.0 + 400 + 2*240
-	if got := s.BusyNodeSeconds(); got != want {
-		t.Fatalf("busy node-seconds = %v, want %v", got, want)
 	}
 }

@@ -37,21 +37,15 @@ func TestDaemonReportsFailedRead(t *testing.T) {
 
 // TestCollectorRetriesPastTransientFailures: with a retry budget large
 // enough, a flaky source's sweep completes with samples and no gaps, and
-// the backoff hook fires once per retry — once per failed read, the
-// batched first read included.
+// the service retries once per failed read, the batched first read
+// included.
 func TestCollectorRetriesPastTransientFailures(t *testing.T) {
 	flaky := faults.NewUnreliableSource(newFakeSource(7), 99, 0.5)
 	_, addr := startDaemon(t, flaky)
 	log := NewSampleLog()
-	backoffs := 0
+	retries0 := telRetries.Value()
 	svc := newSweeper(t, addr, ServiceConfig{
 		Retries: 50, // vanishingly unlikely to exhaust at rate 0.5
-		Backoff: func(attempt int) {
-			if attempt < 1 {
-				t.Errorf("backoff attempt %d out of range", attempt)
-			}
-			backoffs++
-		},
 	}, log)
 	for sweep := 0; sweep < 20; sweep++ {
 		if err := svc.SweepOnce(float64(sweep) * 900); err != nil {
@@ -69,8 +63,8 @@ func TestCollectorRetriesPastTransientFailures(t *testing.T) {
 	if fails == 0 {
 		t.Fatal("flaky source never failed; the test exercised nothing")
 	}
-	if backoffs != int(fails) {
-		t.Fatalf("backoff ran %d times for %d failures", backoffs, fails)
+	if retries := telRetries.Value() - retries0; retries != uint64(fails) {
+		t.Fatalf("%d retries for %d failures", retries, fails)
 	}
 }
 

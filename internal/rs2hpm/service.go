@@ -37,11 +37,8 @@ type ServiceConfig struct {
 	Collectors int
 	// Retries is the retry budget within a sweep: the extra dial attempts
 	// a daemon gets, and the extra reads a failed node gets after the
-	// batched read.
+	// batched read. A retry follows its failure at once.
 	Retries int
-	// Backoff, when non-nil, runs before dial or read retry attempt k
-	// (1-based).
-	Backoff func(attempt int)
 	// Queue tunes the ingestion queue.
 	Queue IngestConfig
 }
@@ -261,9 +258,6 @@ func (s *Service) take(d int) (cl *Client, kept bool, err error) {
 		return cl, true, nil
 	}
 	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
-		if attempt > 0 && s.cfg.Backoff != nil {
-			s.cfg.Backoff(attempt)
-		}
 		if cl, err = Dial(s.cfg.Addrs[d]); err == nil {
 			telPoolDials.Inc()
 			return cl, false, nil
@@ -301,10 +295,6 @@ func (s *Service) retryRead(cl *Client, id int, firstErr error) (hpm.Counts64, e
 	lastErr := firstErr
 	for attempt := 1; attempt <= s.cfg.Retries && !outOfStep(lastErr); attempt++ {
 		telRetries.Inc()
-		if s.cfg.Backoff != nil {
-			telBackoffs.Inc()
-			s.cfg.Backoff(attempt)
-		}
 		snap, err := cl.Counters(id)
 		if err == nil {
 			return snap, nil

@@ -2,8 +2,8 @@ package rs2hpm
 
 // hpmtel instrumentation for the collection path — the reproduction of
 // the paper's own self-measurement ethos applied to the measurement tools
-// themselves: how often a read was retried, backed off or gap-marked, and
-// the bytes the line protocol moved on the wire and the read and write
+// themselves: how often a read was retried or gap-marked, and the
+// bytes the line protocol moved on the wire and the read and write
 // calls that moved them (both directions, both ends). The sweep and
 // sample counts are the service's and the ingest queue's
 // (rs2hpm.service.*, rs2hpm.ingest.*).
@@ -18,7 +18,6 @@ var (
 	telCollector = telemetry.Default.Scope("rs2hpm.collector")
 	telGaps      = telCollector.Counter("gaps")
 	telRetries   = telCollector.Counter("retries")
-	telBackoffs  = telCollector.Counter("backoffs")
 
 	telClient          = telemetry.Default.Scope("rs2hpm.client")
 	telClientDials     = telClient.Counter("dials")

@@ -37,43 +37,29 @@ func (t Time) String() string {
 	return fmt.Sprintf("%dd %02d:%02d:%05.2f", d, h, m, s)
 }
 
-// Event is a scheduled callback.
-type Event struct {
-	At       Time
-	Fn       func()
-	seq      uint64 // tie-break so same-time events run FIFO
-	index    int
-	canceled bool
+// event is a scheduled callback.
+type event struct {
+	at  Time
+	fn  func()
+	seq uint64 // tie-break so same-time events run FIFO
 }
 
-// Cancel marks the event so it will be skipped when its time arrives.
-func (e *Event) Cancel() { e.canceled = true }
-
-type eventQueue []*Event
+type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*q = old[:n-1]
 	return e
 }
@@ -92,20 +78,17 @@ func (c *Clock) Now() Time { return c.now }
 // EventsRun reports how many events have executed.
 func (c *Clock) EventsRun() uint64 { return c.ran }
 
-// Pending reports how many events are queued (including canceled ones not
-// yet reaped).
+// Pending reports how many events are queued.
 func (c *Clock) Pending() int { return len(c.queue) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // a discrete-event simulation that rewinds time is corrupt.
-func (c *Clock) At(t Time, fn func()) *Event {
+func (c *Clock) At(t Time, fn func()) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: scheduling at %v before now %v", t, c.now))
 	}
-	e := &Event{At: t, Fn: fn, seq: c.seq}
+	heap.Push(&c.queue, &event{at: t, fn: fn, seq: c.seq})
 	c.seq++
-	heap.Push(&c.queue, e)
-	return e
 }
 
 // EveryUntil schedules fn at start, start+period, ... for every firing
@@ -130,20 +113,16 @@ func (c *Clock) EveryUntil(start, period, limit Time, fn func(Time)) {
 }
 
 // Step runs the next event, advancing the clock to its time. It reports
-// whether an event was run (false when the queue is empty). Canceled events
-// are reaped silently without counting as a step.
+// whether an event was run (false when the queue is empty).
 func (c *Clock) Step() bool {
-	for len(c.queue) > 0 {
-		e := heap.Pop(&c.queue).(*Event)
-		if e.canceled {
-			continue
-		}
-		c.now = e.At
-		c.ran++
-		e.Fn()
-		return true
+	if len(c.queue) == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&c.queue).(*event)
+	c.now = e.at
+	c.ran++
+	e.fn()
+	return true
 }
 
 // RunUntil executes events in time order until the queue is exhausted or
@@ -151,16 +130,8 @@ func (c *Clock) Step() bool {
 // the last executed event (or limit, whichever the caller prefers to read;
 // AdvanceTo can move it to limit exactly).
 func (c *Clock) RunUntil(limit Time) {
-	for len(c.queue) > 0 {
-		// Peek without popping: queue[0] is the earliest event.
-		next := c.queue[0]
-		if next.canceled {
-			heap.Pop(&c.queue)
-			continue
-		}
-		if next.At > limit {
-			return
-		}
+	// queue[0] is the earliest event.
+	for len(c.queue) > 0 && c.queue[0].at <= limit {
 		c.Step()
 	}
 }
@@ -169,16 +140,13 @@ func (c *Clock) RunUntil(limit Time) {
 func (c *Clock) Run() { c.RunUntil(Infinity) }
 
 // AdvanceTo moves the clock forward to t without running events; it panics
-// if an uncanceled event earlier than t is pending or if t is in the past.
+// if an event earlier than t is pending or if t is in the past.
 func (c *Clock) AdvanceTo(t Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: AdvanceTo(%v) before now %v", t, c.now))
 	}
-	for len(c.queue) > 0 && c.queue[0].canceled {
-		heap.Pop(&c.queue)
-	}
-	if len(c.queue) > 0 && c.queue[0].At < t {
-		panic(fmt.Sprintf("simclock: AdvanceTo(%v) skips pending event at %v", t, c.queue[0].At))
+	if len(c.queue) > 0 && c.queue[0].at < t {
+		panic(fmt.Sprintf("simclock: AdvanceTo(%v) skips pending event at %v", t, c.queue[0].at))
 	}
 	c.now = t
 }

@@ -59,23 +59,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	c.Run()
 }
 
-func TestCancel(t *testing.T) {
-	var c Clock
-	fired := false
-	e := c.At(Time(10), func() { fired = true })
-	e.Cancel()
-	if !e.canceled {
-		t.Fatal("event not marked canceled after Cancel")
-	}
-	c.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if c.EventsRun() != 0 {
-		t.Fatalf("EventsRun = %d, want 0", c.EventsRun())
-	}
-}
-
 func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 	var c Clock
 	var fired []Time
@@ -123,16 +106,6 @@ func TestAdvanceToPanicsOverPendingEvent(t *testing.T) {
 		}
 	}()
 	c.AdvanceTo(Time(100))
-}
-
-func TestAdvanceToSkipsCanceledEvents(t *testing.T) {
-	var c Clock
-	e := c.At(Time(50), func() {})
-	e.Cancel()
-	c.AdvanceTo(Time(100)) // must not panic
-	if c.Now() != Time(100) {
-		t.Fatalf("Now = %v", c.Now())
-	}
 }
 
 func TestAdvanceToBackwardsPanics(t *testing.T) {

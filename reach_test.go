@@ -67,10 +67,7 @@ var unlinkedAllowed = map[string]string{
 	"mpi.(*Rank).Compute":                "mpi tests skew ranks' clocks before they communicate",
 	"mpi.(*Rank).BytesSent":              "mpi tests check each rank's traffic",
 	"mpi.(*Rank).MessagesSent":           "mpi tests check each rank's traffic",
-	"node.(*Node).Disk":                  "node and pbs checkpoint tests read the disk traffic ledger",
-	"node.(*Disk).Traffic":               "node and pbs checkpoint tests read the disk traffic ledger",
 	"node.(*Node).WithAccumulator":       "pbs and workload engine tests write a node's extended counters",
-	"pbs.(*Server).Preemptions":          "pbs tests and the root bench count preemptions",
 	"pbs.(*Server).RunningCount":         "pbs tests check the scheduler's state",
 	"pbs.(*Server).FreeNodes":            "pbs tests check the scheduler's state",
 	"pbs.(*Server).BusyNodes":            "pbs tests check the scheduler's state",
@@ -86,7 +83,7 @@ var unlinkedAllowed = map[string]string{
 	"rs2hpm/loadtest.(*Harness).SoakFor": "the soak test sweeps for a wall-clock budget",
 	"simclock.(*Clock).Run":              "simclock tests run the queue dry",
 	"simclock.(*Clock).AdvanceTo":        "pbs tests move the clock without running events",
-	"simclock.(*Clock).EventsRun":        "simclock tests count the events run and canceled",
+	"simclock.(*Clock).EventsRun":        "simclock tests count the events run",
 	"simclock.(*Clock).Pending":          "simclock tests count the events left queued",
 
 	// What the lint fixtures use: internal/lint/testdata/src/unitsmixing
